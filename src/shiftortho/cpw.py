@@ -3,20 +3,28 @@
 Each mode minimizes an L1-regularized kinetic energy subject to shift
 orthogonality and, for higher modes, perpendicularity to the shift span of
 the modes already found.  The constrained subproblem is handled exactly by
-the fast projections in coefficient space; the quadratic subproblem is a
-spectral Helmholtz solve on the grid; the L1 subproblem is pointwise soft
-thresholding.  Grid fields stay real; the projection round trip goes
-through the plane wave basis, with its out-of-band residual monitored.
+the per-column projection kernel; the quadratic subproblem is a diagonal
+Helmholtz division in Fourier space; the L1 subproblem is pointwise soft
+thresholding on the grid.
+
+The projection never leaves Fourier-bucket coordinates: the B-transform
+columns of the basis expansion of a band-limited field are its Fourier
+coefficients grouped by residue class mod the shift count, so projecting a
+field's spectrum is a gather into columns, the column kernel and a
+scatter back.  Grid fields stay real; the feasibility iterate and its
+Bregman variable are kept as spectra, and each iteration takes three grid
+FFTs (the Helmholtz right-hand side, the field for the shrink, and the
+projected field for the L1 term).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .btransform import b_inverse, b_transform
 from .lattice import CoeffTensor
 from .projection import (
     DEFAULT_CONFIG,
@@ -25,14 +33,16 @@ from .projection import (
     ProjectionConfig,
     check_shift_perpendicular,
     is_shift_orthogonal,
-    project_sso,
-    project_sso_orth,
+    project_columns,
 )
-from .btransform import b_transform
-from .sopw import SopwBasis1D, analyze_grid, synthesize_grid
+from .sopw import SopwBasis1D, gather_columns, scatter_columns
+
+# Not called by the loop, but kept importable from this module:
+# perfbench/spans.py rebinds these names here when it traces a solve.
+from .projection import project_sso, project_sso_orth  # noqa: F401
+from .sopw import analyze_grid, synthesize_grid  # noqa: F401
 
 _SUPPORT_LEVEL = 1e-3
-_ANALYSIS_RESIDUAL_WARN = 1e-6
 _MODE_SET_TOL = 1e-8
 
 # Stability margin of the default Bregman penalties over the kinetic
@@ -106,21 +116,6 @@ class CpwConfig:
 
 
 @dataclass
-class CpwState:
-    """Mutable loop state of one Bregman solve."""
-
-    psi: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    D: np.ndarray
-    B: np.ndarray
-    iteration: int = 0
-    energy_history: list = field(default_factory=list)
-    violation_history: list = field(default_factory=list)
-    rel_change_history: list = field(default_factory=list)
-
-
-@dataclass
 class CpwMode:
     """A converged (or best-effort) mode: coefficients plus grid samples."""
 
@@ -157,10 +152,6 @@ class CpwModeSet:
         return len(self.modes)
 
     @property
-    def tensors(self) -> list[CoeffTensor]:
-        return [mode.coeffs for mode in self.modes]
-
-    @property
     def bt_stack(self) -> np.ndarray | None:
         if not self._bt_columns:
             return None
@@ -182,15 +173,19 @@ class CpwModeSet:
         self._bt_columns.append(b_transform(mode.coeffs).columns)
 
 
+def _kinetic_symbol(grid_size: int, length: float) -> np.ndarray:
+    """Eigenvalues of ``-0.5 laplacian`` on the grid's FFT modes."""
+    modes = np.fft.fftfreq(grid_size, d=1.0 / grid_size)
+    return 2.0 * (math.pi * modes / length) ** 2
+
+
 def helmholtz_solve(rhs: np.ndarray, lam: float, r: float, length: float) -> np.ndarray:
     """Solve ``(-0.5 laplacian + lam + r) psi = rhs`` on a periodic grid."""
     if lam + r <= 0:
         raise ValueError("lam + r must be positive; the operator is singular")
     rhs = np.asarray(rhs)
-    grid_size = rhs.shape[0]
-    modes = np.fft.fftfreq(grid_size, d=1.0 / grid_size)
-    eigenvalues = 2.0 * (math.pi * modes / length) ** 2
-    out = np.fft.ifft(np.fft.fft(rhs) / (eigenvalues + lam + r))
+    symbol = _kinetic_symbol(rhs.shape[0], length)
+    out = np.fft.ifft(np.fft.fft(rhs) / (symbol + lam + r))
     return out.real if np.isrealobj(rhs) else out
 
 
@@ -210,14 +205,19 @@ def cpw_energy(psi: np.ndarray, mu: float, length: float) -> float:
     drops the L1 term.
     """
     psi = np.asarray(psi)
-    grid_size = psi.shape[0]
-    spectrum = np.fft.fft(psi) / grid_size
-    modes = np.fft.fftfreq(grid_size, d=1.0 / grid_size)
-    eigenvalues = 2.0 * (math.pi * modes / length) ** 2
-    kinetic = length * float(np.sum(eigenvalues * np.abs(spectrum) ** 2))
+    symbol = _kinetic_symbol(psi.shape[0], length)
+    return _energy(psi, np.fft.fft(psi), symbol, mu, length)
+
+
+def _energy(samples: np.ndarray, spectrum: np.ndarray, symbol: np.ndarray,
+            mu: float, length: float) -> float:
+    """:func:`cpw_energy` given the samples' (unnormalized) FFT as well."""
+    grid_size = samples.shape[0]
+    spectrum = spectrum / grid_size
+    kinetic = length * float(np.sum(symbol * np.abs(spectrum) ** 2))
     if math.isinf(mu):
         return kinetic
-    l1 = (length / grid_size) * float(np.abs(psi).sum())
+    l1 = (length / grid_size) * float(np.abs(samples).sum())
     return l1 / mu + kinetic
 
 
@@ -241,14 +241,6 @@ def _initial_field(cfg: CpwConfig, basis: SopwBasis1D, grid_size: int) -> np.nda
     return rng.standard_normal(grid_size)
 
 
-def _project_tensor(tensor, prev: CpwModeSet, pcfg: ProjectionConfig):
-    if len(prev) == 0:
-        return project_sso(tensor, pcfg)
-    return project_sso_orth(
-        tensor, prev.tensors, pcfg, mode_columns=prev.bt_stack
-    )
-
-
 def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D,
                    pcfg: ProjectionConfig = DEFAULT_CONFIG):
     """Run the Bregman loop for the next mode given the already-found set.
@@ -268,66 +260,68 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D,
     mu, lam, r, grid_size = cfg.resolve(basis, len(prev))
     period = float(basis.num_shifts)
     threshold = 0.0 if math.isinf(mu) else 1.0 / (lam * mu)
+    symbol = _kinetic_symbol(grid_size, period)
+    helmholtz = symbol + lam + r
+    mode_columns = prev.bt_stack
+    band = basis.band_limit
+    slots = np.mod(np.arange(-band, band + 1), grid_size)
+    outside = np.ones(grid_size, dtype=bool)
+    outside[slots] = False
+    # Grid FFT values on the band times this are basis Fourier coefficients.
+    to_band = math.sqrt(basis.num_shifts) / grid_size
 
-    raw = _initial_field(cfg, basis, grid_size)
-    tensor0, _ = analyze_grid(raw, basis)
-    projected = _project_tensor(tensor0, prev, pcfg)
-    psi = synthesize_grid(projected, grid_size, basis).real
+    def project(spectrum):
+        """Spectrum of the projected field, its unit columns, the analysis residual."""
+        columns, cap_residual = gather_columns(to_band * spectrum[slots], basis)
+        unit = project_columns(columns, domain, pcfg, mode_columns)
+        projected = np.zeros(grid_size, dtype=np.complex128)
+        projected[slots] = scatter_columns(unit, basis) / to_band
+        out_of_band = to_band * float(np.linalg.norm(spectrum[outside]))
+        return projected, unit, math.hypot(out_of_band, cap_residual)
 
-    state = CpwState(
-        psi=psi,
-        u=psi.copy(),
-        v=psi.copy(),
-        D=np.zeros(grid_size),
-        B=np.zeros(grid_size),
-    )
+    v_hat, unit, _ = project(np.fft.fft(_initial_field(cfg, basis, grid_size)))
+    psi = np.fft.ifft(v_hat).real
+    u = psi
+    D = np.zeros(grid_size)
+    B_hat = np.zeros(grid_size, dtype=np.complex128)
+    energy_history = []
+    rel_change_history = []
     converged = False
     max_residual = 0.0
     max_imag = 0.0
     for iteration in range(1, cfg.max_iter + 1):
-        previous_psi = state.psi
-        rhs = lam * (state.u - state.D) + r * (state.v - state.B)
-        state.psi = helmholtz_solve(rhs, lam, r, period)
+        previous_psi = psi
+        psi_hat = (lam * np.fft.fft(u - D) + r * (v_hat - B_hat)) / helmholtz
+        psi = np.fft.ifft(psi_hat).real
 
-        tensor, residual = analyze_grid(state.psi + state.B, basis)
+        v_hat, unit, residual = project(psi_hat + B_hat)
         max_residual = max(max_residual, residual)
-        projected = _project_tensor(tensor, prev, pcfg)
-        synthesized = synthesize_grid(projected, grid_size, basis)
-        max_imag = max(max_imag, float(np.abs(synthesized.imag).max()))
-        state.v = synthesized.real
+        v = np.fft.ifft(v_hat)
+        max_imag = max(max_imag, float(np.abs(v.imag).max()))
+        v = v.real
 
-        state.u = shrink(state.psi + state.D, threshold)
-        state.D = state.D + state.psi - state.u
-        state.B = state.B + state.psi - state.v
+        u = shrink(psi + D, threshold)
+        D = D + psi - u
+        B_hat = B_hat + psi_hat - v_hat
 
-        denominator = max(float(np.linalg.norm(state.psi)), np.finfo(float).tiny)
-        rel_change = float(np.linalg.norm(state.psi - previous_psi)) / denominator
-        state.iteration = iteration
-        state.rel_change_history.append(rel_change)
-        state.energy_history.append(cpw_energy(state.v, mu, period))
-        state.violation_history.append(
-            is_shift_orthogonal(projected, _MODE_SET_TOL, method="spectral")
-            .max_constraint_violation
-        )
+        denominator = max(float(np.linalg.norm(psi)), np.finfo(float).tiny)
+        rel_change = float(np.linalg.norm(psi - previous_psi)) / denominator
+        rel_change_history.append(rel_change)
+        energy_history.append(_energy(v, v_hat, symbol, mu, period))
         if rel_change <= cfg.tol:
             converged = True
             break
 
-    if max_residual > _ANALYSIS_RESIDUAL_WARN:
-        warnings.warn(
-            f"basis analysis truncated out-of-band energy up to {max_residual:.3e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    report = is_shift_orthogonal(projected, _MODE_SET_TOL)
-    mode = CpwMode(coeffs=projected, samples=state.v)
+    coeffs = b_inverse(CoeffTensor(domain, unit.reshape(-1)))
+    report = is_shift_orthogonal(coeffs, _MODE_SET_TOL)
+    mode = CpwMode(coeffs=coeffs, samples=v)
     diagnostics = CpwDiagnostics(
         converged=converged,
-        iterations=state.iteration,
+        iterations=iteration,
         final_violation=report.max_constraint_violation,
-        energy_history=np.asarray(state.energy_history),
-        rel_change_history=np.asarray(state.rel_change_history),
-        support_fraction=support_fraction(state.v),
+        energy_history=np.asarray(energy_history),
+        rel_change_history=np.asarray(rel_change_history),
+        support_fraction=support_fraction(v),
         max_analysis_residual=max_residual,
         max_imag=max_imag,
     )

@@ -4,7 +4,9 @@ The projection factors through the B-transform: every per-frequency column
 of the transformed tensor is normalized to the unit sphere (with a fixed
 real fallback for vanishing columns), then transformed back.  A deflated
 variant projects onto the intersection with the orthogonal complement of
-the shift span of previously found modes.  Report-style checkers verify
+the shift span of previously found modes.  Both share one per-column
+kernel, :func:`project_columns`, which callers already holding transform
+columns (the plane wave solver) use directly.  Report-style checkers verify
 membership and perpendicularity through two independent characterizations:
 per-frequency column norms on the transform side and direct inner products
 against cyclic shifts on the coefficient side.
@@ -103,23 +105,57 @@ def _fallback_column(cfg: ProjectionConfig, depth_count: int) -> np.ndarray:
     return column
 
 
+def _orthogonal_fallback(mode_cols: np.ndarray, depth_count: int) -> np.ndarray:
+    # Gram-Schmidt of canonical basis vectors, in index order, against the
+    # (orthonormal) mode columns; first residual of usable size wins.
+    for t in range(depth_count):
+        residual = -mode_cols.conj()[:, t] @ mode_cols
+        residual[t] += 1.0
+        norm = np.linalg.norm(residual)
+        if norm > _FALLBACK_RESIDUAL_MIN:
+            return residual / norm
+    raise ModePreconditionError(
+        "no canonical vector has a usable residual against the mode columns"
+    )
+
+
+def project_columns(columns: np.ndarray, domain: LatticeDomain,
+                    cfg: ProjectionConfig = DEFAULT_CONFIG,
+                    mode_columns: np.ndarray | None = None) -> np.ndarray:
+    """Closest unit vector to every B-transform column, optionally deflated.
+
+    ``columns`` is ``depth_count x shift_count`` on the scale of
+    :func:`b_transform`.  With ``mode_columns`` (``n x depth_count x
+    shift_count``, orthonormal per frequency) each column first loses its
+    component in the span of the mode columns at its frequency.  Columns of
+    norm at most ``cfg.resolve_eps(domain)`` take a fallback instead: the
+    configured real column without modes, the Gram-Schmidt residual of the
+    first usable canonical vector with them.
+    """
+    if mode_columns is not None:
+        inner = np.einsum("mdj,dj->mj", mode_columns.conj(), columns)
+        columns = columns - np.einsum("mj,mdj->dj", inner, mode_columns)
+    norms = np.linalg.norm(columns, axis=0)
+    good = norms > cfg.resolve_eps(domain)
+    if good.all():
+        return columns / norms
+    out = np.empty_like(columns)
+    out[:, good] = columns[:, good] / norms[good]
+    if mode_columns is None:
+        out[:, ~good] = _fallback_column(cfg, domain.depth_count)[:, None]
+    else:
+        for j in np.nonzero(~good)[0]:
+            out[:, j] = _orthogonal_fallback(mode_columns[:, :, j], domain.depth_count)
+    return out
+
+
 def theta_normalize(p: CoeffTensor, cfg: ProjectionConfig = DEFAULT_CONFIG) -> CoeffTensor:
     """Normalize every per-frequency column to the unit sphere.
 
     Columns with norm at most the resolved threshold take the configured
     real fallback column instead.
     """
-    cols = p.columns
-    norms = np.linalg.norm(cols, axis=0)
-    eps = cfg.resolve_eps(p.domain)
-    good = norms > eps
-    if good.all():
-        out = cols / norms
-    else:
-        out = np.empty_like(cols)
-        out[:, good] = cols[:, good] / norms[good]
-        out[:, ~good] = _fallback_column(cfg, p.domain.depth_count)[:, None]
-    return CoeffTensor._trusted(p.domain, out)
+    return CoeffTensor._trusted(p.domain, project_columns(p.columns, p.domain, cfg))
 
 
 def project_sso(b: CoeffTensor, cfg: ProjectionConfig = DEFAULT_CONFIG) -> CoeffTensor:
@@ -171,20 +207,6 @@ def _validate_mode_columns(stack: np.ndarray) -> None:
         )
 
 
-def _orthogonal_fallback(mode_cols: np.ndarray, depth_count: int) -> np.ndarray:
-    # Gram-Schmidt of canonical basis vectors, in index order, against the
-    # (orthonormal) mode columns; first residual of usable size wins.
-    for t in range(depth_count):
-        residual = -mode_cols.conj()[:, t] @ mode_cols
-        residual[t] += 1.0
-        norm = np.linalg.norm(residual)
-        if norm > _FALLBACK_RESIDUAL_MIN:
-            return residual / norm
-    raise ModePreconditionError(
-        "no canonical vector has a usable residual against the mode columns"
-    )
-
-
 def project_sso_orth(
     b: CoeffTensor,
     modes: Sequence[CoeffTensor],
@@ -214,16 +236,7 @@ def project_sso_orth(
     if validate:
         _validate_mode_columns(mode_columns)
 
-    p = b_transform(b).columns
-    inner = np.einsum("mdj,dj->mj", mode_columns.conj(), p)
-    z = p - np.einsum("mj,mdj->dj", inner, mode_columns)
-    norms = np.linalg.norm(z, axis=0)
-    eps = cfg.resolve_eps(domain)
-    out = np.empty_like(z)
-    good = norms > eps
-    out[:, good] = z[:, good] / norms[good]
-    for j in np.nonzero(~good)[0]:
-        out[:, j] = _orthogonal_fallback(mode_columns[:, :, j], domain.depth_count)
+    out = project_columns(b_transform(b).columns, domain, cfg, mode_columns)
     return b_inverse(CoeffTensor(domain, out.reshape(-1)))
 
 

@@ -23,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .btransform import b_inverse, b_transform
 from .lattice import CoeffTensor, LatticeDomain
 
 # Powers of the imaginary unit, exact.
@@ -149,21 +150,23 @@ def sopw_fourier_coeffs(k: int, j: int, basis: SopwBasis1D):
 
 @dataclass(frozen=True)
 class _BandTables:
-    """Per-mode ownership of the band ``|n| <= band_limit``.
+    """Two-term gathers between band modes and B-transform columns.
 
-    Every mode belongs to one shell as interior or upper edge (``owner1``)
-    and, if it is an edge, also to the next shell (``owner2``; the value
-    ``depth_cap + 1`` marks the virtual shell above the cap).  ``coeff``
-    entries are the shift-0 synthesis coefficients; analysis conjugates
-    them.
+    Every mode of the band ``|n| <= band_limit`` belongs to one shell as
+    interior or upper edge and, if it is an edge, also to the next shell
+    (shell ``depth_cap + 1`` is the virtual one above the cap).  Mode ``n``
+    feeds transform column ``j = -n mod L`` of each shell owning it, so
+    every (shell, column) slot has one interior mode or the two edge modes
+    ``+-n`` as sources, and every mode has one or two slots.  Rows of
+    ``*_src`` index the source array; the matching ``*_weight`` entries are
+    zero where a slot or mode has a single partner.  Analysis weights are
+    ``L`` times the conjugate synthesis coefficients.
     """
 
-    n_values: np.ndarray
-    slot_mod_shifts: np.ndarray
-    owner1: np.ndarray
-    coeff1: np.ndarray
-    owner2: np.ndarray
-    coeff2: np.ndarray
+    gather_src: np.ndarray  # (2, depth_cap + 1, L) into band modes
+    gather_weight: np.ndarray
+    scatter_src: np.ndarray  # (2, band size) into flat (depth_cap, L) columns
+    scatter_weight: np.ndarray
 
 
 @lru_cache(maxsize=64)
@@ -193,14 +196,65 @@ def _band_tables(num_shifts: int, depth_cap: int) -> _BandTables:
             k = mag // half + 1
             owner1[idx] = k
             coeff1[idx] = _sign_i_pow(n, k - 1) * interior_weight
+
+    column = np.mod(-n_values, num_shifts)
+    has_second = owner2 > 0
+    slot1 = (owner1 - 1) * num_shifts + column
+    slot2 = (owner2 - 1) * num_shifts + column
+    targets = np.concatenate([slot1, slot2[has_second]])
+    sources = np.concatenate([np.arange(size), np.nonzero(has_second)[0]])
+    weights = num_shifts * np.conj(np.concatenate([coeff1, coeff2[has_second]]))
+    order = np.argsort(targets, kind="stable")
+    targets, sources, weights = targets[order], sources[order], weights[order]
+    repeat = np.zeros(targets.size, dtype=bool)
+    repeat[1:] = targets[1:] == targets[:-1]
+    gather_src = np.zeros((2, (depth_cap + 1) * num_shifts), dtype=np.intp)
+    gather_weight = np.zeros(gather_src.shape, dtype=np.complex128)
+    for row, pick in enumerate((~repeat, repeat)):
+        gather_src[row, targets[pick]] = sources[pick]
+        gather_weight[row, targets[pick]] = weights[pick]
+
+    in_cap = has_second & (owner2 <= depth_cap)
     return _BandTables(
-        n_values=n_values,
-        slot_mod_shifts=np.mod(n_values, num_shifts),
-        owner1=owner1,
-        coeff1=coeff1,
-        owner2=owner2,
-        coeff2=coeff2,
+        gather_src=gather_src.reshape(2, depth_cap + 1, num_shifts),
+        gather_weight=gather_weight.reshape(2, depth_cap + 1, num_shifts),
+        scatter_src=np.stack([slot1, np.where(in_cap, slot2, 0)]),
+        scatter_weight=np.stack([coeff1, np.where(in_cap, coeff2, 0.0)]),
     )
+
+
+def gather_columns(coeffs: np.ndarray, basis: SopwBasis1D):
+    """B-transform columns of the basis expansion of band Fourier coefficients.
+
+    ``coeffs`` holds ``a(n)`` for ``n = -band_limit..band_limit`` (the
+    ``FourierRep`` layout).  Returns ``(columns, residual)``: the
+    ``depth_cap x num_shifts`` columns of ``b_transform(fourier_to_sopw(f))``
+    and the norm of the part on the shell above the cap.  Column ``j`` of
+    shell ``k`` is ``L`` times the sum of the conjugate shell-``k`` weights
+    times ``a(n)`` over the modes ``n = -j mod L`` that shell owns, so no
+    FFT is needed.
+    """
+    if np.shape(coeffs) != (2 * basis.band_limit + 1,):
+        raise ValueError(f"expected {2 * basis.band_limit + 1} band coefficients")
+    tabs = _band_tables(basis.num_shifts, basis.depth_cap)
+    full = (tabs.gather_weight * coeffs[tabs.gather_src]).sum(axis=0)
+    residual = float(np.linalg.norm(full[-1])) / math.sqrt(basis.num_shifts)
+    return full[:-1], residual
+
+
+def scatter_columns(columns: np.ndarray, basis: SopwBasis1D) -> np.ndarray:
+    """Band Fourier coefficients of the tensor with B-transform ``columns``.
+
+    Inverse of :func:`gather_columns` inside the cap: equals
+    ``sopw_to_fourier(b_inverse(columns)).coeffs``.
+    """
+    if np.shape(columns) != (basis.depth_cap, basis.num_shifts):
+        raise ValueError(
+            f"expected {basis.depth_cap} x {basis.num_shifts} transform columns"
+        )
+    tabs = _band_tables(basis.num_shifts, basis.depth_cap)
+    flat = np.reshape(columns, -1)
+    return (tabs.scatter_weight * flat[tabs.scatter_src]).sum(axis=0)
 
 
 def fourier_to_sopw(f: FourierRep, basis: SopwBasis1D):
@@ -213,33 +267,16 @@ def fourier_to_sopw(f: FourierRep, basis: SopwBasis1D):
     """
     if (f.num_shifts, f.depth_cap) != (basis.num_shifts, basis.depth_cap):
         raise ValueError("Fourier representation does not match basis sizes")
-    num_shifts, depth_cap = basis.num_shifts, basis.depth_cap
-    tabs = _band_tables(num_shifts, depth_cap)
-    buckets = np.zeros((depth_cap + 1, num_shifts), dtype=np.complex128)
-    np.add.at(buckets, (tabs.owner1 - 1, tabs.slot_mod_shifts),
-              np.conj(tabs.coeff1) * f.coeffs)
-    has_second = tabs.owner2 > 0
-    np.add.at(buckets, (tabs.owner2[has_second] - 1, tabs.slot_mod_shifts[has_second]),
-              np.conj(tabs.coeff2[has_second]) * f.coeffs[has_second])
-    rows = num_shifts * np.fft.ifft(buckets, axis=1)
-    tensor = CoeffTensor(basis.domain, rows[:depth_cap].reshape(-1))
-    residual = float(np.linalg.norm(rows[depth_cap]))
-    return tensor, residual
+    columns, residual = gather_columns(f.coeffs, basis)
+    return b_inverse(CoeffTensor._trusted(basis.domain, columns)), residual
 
 
 def sopw_to_fourier(t: CoeffTensor, basis: SopwBasis1D) -> FourierRep:
     """Superpose the sparse per-element Fourier coefficients of a tensor."""
     if t.domain != basis.domain:
         raise ValueError("tensor domain does not match basis")
-    num_shifts, depth_cap = basis.num_shifts, basis.depth_cap
-    tabs = _band_tables(num_shifts, depth_cap)
-    slice_dft = np.fft.fft(t.grid, axis=1)
-    coeffs = tabs.coeff1 * slice_dft[tabs.owner1 - 1, tabs.slot_mod_shifts]
-    in_cap = (tabs.owner2 > 0) & (tabs.owner2 <= depth_cap)
-    coeffs[in_cap] += tabs.coeff2[in_cap] * slice_dft[
-        tabs.owner2[in_cap] - 1, tabs.slot_mod_shifts[in_cap]
-    ]
-    return FourierRep(num_shifts, depth_cap, coeffs)
+    coeffs = scatter_columns(b_transform(t).grid, basis)
+    return FourierRep(basis.num_shifts, basis.depth_cap, coeffs)
 
 
 def eval_closed_form(k: int, j: int, x: float, basis: SopwBasis1D) -> float:

@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from shiftortho import (
     LatticeDomain,
@@ -38,10 +37,6 @@ from util import (
     sopw_fourier_vector,
     sphere_subproblem_oracle,
     theta_energy,
-)
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:basis analysis truncated:RuntimeWarning"
 )
 
 # Domains with size <= 64 used by criteria 2-5.

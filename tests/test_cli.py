@@ -21,10 +21,6 @@ from shiftortho.coeffio import (
 )
 from util import random_real_tensor
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:basis analysis truncated:RuntimeWarning"
-)
-
 
 def run_cli(capsys, *argv):
     code = main(list(argv))

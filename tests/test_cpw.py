@@ -22,11 +22,7 @@ from shiftortho import (
     solve_cpw_modes,
     support_fraction,
 )
-from util import theta_energy
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:basis analysis truncated:RuntimeWarning"
-)
+from util import grid_bregman_reference, theta_energy
 
 
 class TestHelmholtz:
@@ -203,6 +199,25 @@ class TestSolver:
         samples[10:30] = 1.0
         assert support_fraction(samples) == 0.2
         assert support_fraction(np.zeros(8)) == 0.0
+
+
+class TestAgainstGridReference:
+    """The bucket-coordinate loop against the tensor round trip it replaced."""
+
+    @pytest.mark.parametrize("prior_modes", [0, 1])
+    def test_fifty_iterations(self, prior_modes):
+        basis = SopwBasis1D(8, 4)
+        prev = CpwModeSet(basis)
+        if prior_modes:
+            first, _ = solve_cpw_mode(None, CpwConfig(grid_size=128), basis)
+            prev.add(first)
+        cfg = CpwConfig(grid_size=128, tol=1e-30, max_iter=50)
+        mode, diag = solve_cpw_mode(prev, cfg, basis)
+        coeffs, samples, energies = grid_bregman_reference(prev, cfg, basis)
+        assert diag.iterations == 50
+        assert np.abs(mode.samples - samples).max() <= 1e-10
+        assert np.abs(mode.coeffs.data - coeffs.data).max() <= 1e-10
+        assert np.all(np.abs(diag.energy_history - energies) <= 1e-12 * np.abs(energies))
 
 
 class TestConfigAndModeSet:

@@ -13,7 +13,11 @@ from shiftortho import (
     eval_closed_form,
     first_derivative_stencil,
     flatten,
+    b_inverse,
+    b_transform,
     fourier_to_sopw,
+    gather_columns,
+    scatter_columns,
     shell_moment_sums,
     random_tensor,
     second_derivative_stencil,
@@ -23,6 +27,9 @@ from shiftortho import (
     verify_variational_certificate,
 )
 from util import (
+    direct_b_inverse,
+    direct_b_transform,
+    sopw_analysis_rows,
     sopw_derivative_samples,
     sopw_fourier_vector,
     sopw_point_sum,
@@ -156,6 +163,76 @@ class TestFourierConversion:
         rep = sopw_to_fourier(delta_tensor(basis, 2, 1), basis)
         expected = sopw_fourier_vector(2, 1, basis, basis.band_limit)
         assert np.abs(rep.coeffs - expected).max() <= 1e-14
+
+
+GATHER_SIZES = [(2, 1), (4, 3), (8, 4), (16, 8)]
+
+
+class TestColumnGatherScatter:
+    """Band Fourier coefficients grouped by residue class are transform columns."""
+
+    @staticmethod
+    def random_band(basis, seed):
+        rng = np.random.default_rng(seed)
+        size = 2 * basis.band_limit + 1
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    @pytest.mark.parametrize("num_shifts,depth_cap", GATHER_SIZES)
+    def test_gather_equals_transform_of_expansion(self, num_shifts, depth_cap):
+        basis = SopwBasis1D(num_shifts, depth_cap)
+        coeffs = self.random_band(basis, num_shifts + depth_cap)
+        columns, residual = gather_columns(coeffs, basis)
+        tensor, expected_residual = fourier_to_sopw(
+            FourierRep(num_shifts, depth_cap, coeffs), basis
+        )
+        assert columns.shape == (depth_cap, num_shifts)
+        assert np.abs(columns - b_transform(tensor).columns).max() <= 1e-12
+        assert abs(residual - expected_residual) <= 1e-12
+
+    @pytest.mark.parametrize("num_shifts,depth_cap", GATHER_SIZES)
+    def test_gather_against_sparse_table(self, num_shifts, depth_cap):
+        basis = SopwBasis1D(num_shifts, depth_cap)
+        coeffs = self.random_band(basis, 7 * num_shifts + depth_cap)
+        columns, residual = gather_columns(coeffs, basis)
+        rows = sopw_analysis_rows(coeffs, basis)
+        expected = direct_b_transform(CoeffTensor(basis.domain, rows[:-1].reshape(-1)))
+        assert np.abs(columns.reshape(-1) - expected).max() <= 1e-12
+        assert abs(residual - np.linalg.norm(rows[-1])) <= 1e-12
+
+    @pytest.mark.parametrize("num_shifts,depth_cap", GATHER_SIZES)
+    def test_scatter_equals_synthesis(self, num_shifts, depth_cap):
+        basis = SopwBasis1D(num_shifts, depth_cap)
+        rng = np.random.default_rng(num_shifts * depth_cap)
+        columns = (rng.standard_normal((depth_cap, num_shifts))
+                   + 1j * rng.standard_normal((depth_cap, num_shifts)))
+        coeffs = scatter_columns(columns, basis)
+        tensor = CoeffTensor(basis.domain, columns.reshape(-1))
+        expected = sopw_to_fourier(b_inverse(tensor), basis).coeffs
+        assert np.abs(coeffs - expected).max() <= 1e-12
+        band = basis.band_limit
+        direct = direct_b_inverse(tensor).reshape(depth_cap, num_shifts)
+        superposed = sum(
+            direct[k - 1, ell] * sopw_fourier_vector(k, ell, basis, band)
+            for k in range(1, depth_cap + 1)
+            for ell in range(num_shifts)
+        )
+        assert np.abs(coeffs - superposed).max() <= 1e-12
+
+    def test_shapes_checked(self):
+        basis = SopwBasis1D(4, 2)
+        with pytest.raises(ValueError):
+            gather_columns(np.zeros(2 * basis.band_limit), basis)
+        with pytest.raises(ValueError):
+            scatter_columns(np.zeros((2, 5)), basis)
+
+    @pytest.mark.parametrize("num_shifts,depth_cap", GATHER_SIZES)
+    def test_scatter_inverts_gather_inside_cap(self, num_shifts, depth_cap):
+        basis = SopwBasis1D(num_shifts, depth_cap)
+        coeffs = self.random_band(basis, 3)
+        coeffs[0] = coeffs[-1] = 0.0  # cap edges are shared with the shell above
+        columns, residual = gather_columns(coeffs, basis)
+        assert residual <= 1e-12
+        assert np.abs(scatter_columns(columns, basis) - coeffs).max() <= 1e-12
 
 
 class TestClosedForm:

@@ -10,7 +10,20 @@ import math
 
 import numpy as np
 
-from shiftortho import CoeffTensor, LatticeDomain, sopw_fourier_coeffs, unflatten
+from shiftortho import (
+    CoeffTensor,
+    LatticeDomain,
+    analyze_grid,
+    cpw_energy,
+    helmholtz_solve,
+    project_sso,
+    project_sso_orth,
+    shrink,
+    sopw_fourier_coeffs,
+    synthesize_grid,
+    unflatten,
+)
+from shiftortho.cpw import _initial_field
 
 
 def direct_b_transform(v: CoeffTensor) -> np.ndarray:
@@ -101,6 +114,25 @@ def sopw_fourier_vector(k: int, j: int, basis, band: int) -> np.ndarray:
     return vec
 
 
+def sopw_analysis_rows(coeffs: np.ndarray, basis) -> np.ndarray:
+    """Inner products of band coefficients with every element of shells 1..N+1.
+
+    Row ``k - 1`` holds ``<element (k, l), f>`` for all shifts ``l``, summed
+    from the sparse table over the band ``|n| <= band_limit``; the last row
+    is the shell above the cap.
+    """
+    band = basis.band_limit
+    rows = np.zeros((basis.depth_cap + 1, basis.num_shifts), dtype=np.complex128)
+    for k in range(1, basis.depth_cap + 2):
+        for ell in range(basis.num_shifts):
+            rows[k - 1, ell] = sum(
+                np.conj(c) * coeffs[n + band]
+                for n, c in sopw_fourier_coeffs(k, ell, basis)
+                if abs(n) <= band
+            )
+    return rows
+
+
 def sopw_point_sum(k: int, j: int, x: float, basis) -> complex:
     """Pointwise value by direct summation of the sparse Fourier table."""
     length = basis.num_shifts
@@ -144,3 +176,36 @@ def engineered_degenerate_real(domain: LatticeDomain, rng) -> CoeffTensor:
     values = rng.standard_normal(domain.depth_count)
     grid = np.repeat(values, domain.shift_count).reshape(domain.grid_shape)
     return CoeffTensor(domain, grid.astype(complex).reshape(-1))
+
+
+def grid_bregman_reference(prev, cfg, basis):
+    """``cfg.max_iter`` split-Bregman steps with the projection on tensors.
+
+    Every field lives on the grid, and each step runs the Helmholtz solve,
+    then ``analyze_grid``, ``project_sso`` (``project_sso_orth`` against the
+    modes in ``prev``), ``synthesize_grid``, the shrink and the Bregman
+    updates; no convergence test.  Returns ``(coeffs, samples,
+    energy_history)`` of the last projection.
+    """
+    modes = [mode.coeffs for mode in prev.modes]
+
+    def project(samples):
+        tensor, _ = analyze_grid(samples, basis)
+        projected = project_sso_orth(tensor, modes) if modes else project_sso(tensor)
+        return projected, synthesize_grid(projected, grid_size, basis).real
+
+    mu, lam, r, grid_size = cfg.resolve(basis, len(modes))
+    period = float(basis.num_shifts)
+    threshold = 0.0 if math.isinf(mu) else 1.0 / (lam * mu)
+    _, psi = project(_initial_field(cfg, basis, grid_size))
+    u, v = psi.copy(), psi.copy()
+    D, B = np.zeros(grid_size), np.zeros(grid_size)
+    energies = []
+    for _ in range(cfg.max_iter):
+        psi = helmholtz_solve(lam * (u - D) + r * (v - B), lam, r, period)
+        projected, v = project(psi + B)
+        u = shrink(psi + D, threshold)
+        D = D + psi - u
+        B = B + psi - v
+        energies.append(cpw_energy(v, mu, period))
+    return projected, v, np.asarray(energies)
