@@ -3,8 +3,7 @@
 A function expanded in a shift-orthogonal basis carries one complex
 coefficient per (depth, shift) multi-index pair.  This module fixes the
 canonical flat layout of those coefficients (depth axes outermost, shift
-axes innermost, each group row-major), the cyclic shift action on them,
-and the shift-Gram matrix used by the orthogonality checkers.
+axes innermost, each group row-major) and the cyclic shift action on them.
 
 Depth indices are 1-based, shift indices are 0-based and cyclic; this
 matches the usual conventions for frequency shells and lattice translates.
@@ -194,30 +193,6 @@ def shift_inner(g: CoeffTensor, f: CoeffTensor, s) -> complex:
         raise DomainMismatchError("tensors live on different domains")
     s = _as_shift_vector(g.domain, s)
     return complex(np.vdot(g.grid, np.roll(f.grid, s, axis=g.domain.shift_axes)))
-
-
-def gram_shift(g: CoeffTensor, f: CoeffTensor) -> np.ndarray:
-    """Gram matrix of all shifted copies: entry ``(s', s) = <S(s')g, S(s)f>``.
-
-    Rows and columns enumerate shift vectors in canonical order.  The matrix
-    is circulant in ``s - s'`` because shifting both arguments by the same
-    amount leaves the inner product unchanged.
-    """
-    if g.domain != f.domain:
-        raise DomainMismatchError("tensors live on different domains")
-    domain = g.domain
-    corr = np.empty(domain.shifts, dtype=np.complex128)
-    g_grid, f_grid = g.grid, f.grid
-    for t in np.ndindex(*domain.shifts):
-        corr[t] = np.vdot(g_grid, np.roll(f_grid, t, axis=domain.shift_axes))
-    vectors = list(domain.shift_vectors())
-    count = domain.shift_count
-    gram = np.empty((count, count), dtype=np.complex128)
-    for row, sp in enumerate(vectors):
-        for col, sq in enumerate(vectors):
-            t = tuple((b - a) % n for a, b, n in zip(sp, sq, domain.shifts))
-            gram[row, col] = corr[t]
-    return gram
 
 
 def random_tensor(domain: LatticeDomain, rng: np.random.Generator,

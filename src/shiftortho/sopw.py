@@ -169,57 +169,46 @@ class _BandTables:
     scatter_weight: np.ndarray
 
 
-@lru_cache(maxsize=64)
-def _band_tables(num_shifts: int, depth_cap: int) -> _BandTables:
-    half = num_shifts // 2
-    band = depth_cap * half
-    n_values = np.arange(-band, band + 1)
-    size = n_values.size
-    owner1 = np.zeros(size, dtype=np.intp)
-    coeff1 = np.zeros(size, dtype=np.complex128)
-    owner2 = np.zeros(size, dtype=np.intp)
-    coeff2 = np.zeros(size, dtype=np.complex128)
-    interior_weight = 1.0 / math.sqrt(num_shifts)
-    edge_weight = 1.0 / math.sqrt(2 * num_shifts)
-    for idx, n in enumerate(n_values):
-        mag = abs(int(n))
-        if mag == 0:
-            owner1[idx] = 1
-            coeff1[idx] = interior_weight
-        elif mag % half == 0:
-            k = mag // half
-            owner1[idx] = k
-            coeff1[idx] = _sign_i_pow(n, k - 1) * edge_weight
-            owner2[idx] = k + 1
-            coeff2[idx] = _sign_i_pow(n, k) * edge_weight
-        else:
-            k = mag // half + 1
-            owner1[idx] = k
-            coeff1[idx] = _sign_i_pow(n, k - 1) * interior_weight
-
-    column = np.mod(-n_values, num_shifts)
-    has_second = owner2 > 0
-    slot1 = (owner1 - 1) * num_shifts + column
-    slot2 = (owner2 - 1) * num_shifts + column
-    targets = np.concatenate([slot1, slot2[has_second]])
-    sources = np.concatenate([np.arange(size), np.nonzero(has_second)[0]])
-    weights = num_shifts * np.conj(np.concatenate([coeff1, coeff2[has_second]]))
+def _pair_table(targets: np.ndarray, sources: np.ndarray, weights: np.ndarray,
+                size: int):
+    """Two-row gather giving each of ``size`` targets its one or two sources."""
     order = np.argsort(targets, kind="stable")
     targets, sources, weights = targets[order], sources[order], weights[order]
     repeat = np.zeros(targets.size, dtype=bool)
     repeat[1:] = targets[1:] == targets[:-1]
-    gather_src = np.zeros((2, (depth_cap + 1) * num_shifts), dtype=np.intp)
-    gather_weight = np.zeros(gather_src.shape, dtype=np.complex128)
+    src = np.zeros((2, size), dtype=np.intp)
+    weight = np.zeros((2, size), dtype=np.complex128)
     for row, pick in enumerate((~repeat, repeat)):
-        gather_src[row, targets[pick]] = sources[pick]
-        gather_weight[row, targets[pick]] = weights[pick]
+        src[row, targets[pick]] = sources[pick]
+        weight[row, targets[pick]] = weights[pick]
+    return src, weight
 
-    in_cap = has_second & (owner2 <= depth_cap)
+
+@lru_cache(maxsize=64)
+def _band_tables(basis: SopwBasis1D) -> _BandTables:
+    num_shifts, depth_cap = basis.num_shifts, basis.depth_cap
+    band = basis.band_limit
+    # One entry per (shell, band mode) pair: the shift-0 coefficient of the
+    # shell generator, and the flat transform slot the mode feeds.
+    entries = [
+        ((k - 1) * num_shifts + (-n) % num_shifts, n + band, c)
+        for k in range(1, depth_cap + 2)
+        for n, c in sopw_fourier_coeffs(k, 0, basis)
+        if abs(n) <= band
+    ]
+    slots, modes, coeffs = map(np.array, zip(*entries))
+    gather_src, gather_weight = _pair_table(
+        slots, modes, num_shifts * np.conj(coeffs), (depth_cap + 1) * num_shifts
+    )
+    in_cap = slots < depth_cap * num_shifts
+    scatter_src, scatter_weight = _pair_table(
+        modes[in_cap], slots[in_cap], coeffs[in_cap], 2 * band + 1
+    )
     return _BandTables(
         gather_src=gather_src.reshape(2, depth_cap + 1, num_shifts),
         gather_weight=gather_weight.reshape(2, depth_cap + 1, num_shifts),
-        scatter_src=np.stack([slot1, np.where(in_cap, slot2, 0)]),
-        scatter_weight=np.stack([coeff1, np.where(in_cap, coeff2, 0.0)]),
+        scatter_src=scatter_src,
+        scatter_weight=scatter_weight,
     )
 
 
@@ -236,7 +225,7 @@ def gather_columns(coeffs: np.ndarray, basis: SopwBasis1D):
     """
     if np.shape(coeffs) != (2 * basis.band_limit + 1,):
         raise ValueError(f"expected {2 * basis.band_limit + 1} band coefficients")
-    tabs = _band_tables(basis.num_shifts, basis.depth_cap)
+    tabs = _band_tables(basis)
     full = (tabs.gather_weight * coeffs[tabs.gather_src]).sum(axis=0)
     residual = float(np.linalg.norm(full[-1])) / math.sqrt(basis.num_shifts)
     return full[:-1], residual
@@ -252,7 +241,7 @@ def scatter_columns(columns: np.ndarray, basis: SopwBasis1D) -> np.ndarray:
         raise ValueError(
             f"expected {basis.depth_cap} x {basis.num_shifts} transform columns"
         )
-    tabs = _band_tables(basis.num_shifts, basis.depth_cap)
+    tabs = _band_tables(basis)
     flat = np.reshape(columns, -1)
     return (tabs.scatter_weight * flat[tabs.scatter_src]).sum(axis=0)
 

@@ -13,7 +13,6 @@ from shiftortho import (
     SopwBasis1D,
     check_shift_perpendicular,
     cpw_energy,
-    gram_shift,
     helmholtz_solve,
     is_shift_orthogonal,
     random_tensor,
@@ -22,7 +21,7 @@ from shiftortho import (
     solve_cpw_modes,
     support_fraction,
 )
-from util import grid_bregman_reference, theta_energy
+from util import gram_shift, grid_bregman_reference, theta_energy
 
 
 class TestHelmholtz:

@@ -8,31 +8,13 @@ from shiftortho import (
     DomainMismatchError,
     LatticeDomain,
     flatten,
-    gram_shift,
     is_shift_orthogonal,
     project_sso,
     random_tensor,
     shift,
     unflatten,
 )
-from util import direct_gram_shift
-
-
-def small_domains(max_size=4096):
-    dims = st.integers(1, 3)
-
-    def build(d):
-        axis = st.integers(1, 8)
-        return st.tuples(
-            st.tuples(*[axis] * d),
-            st.tuples(*[axis] * d),
-        )
-
-    return (
-        dims.flatmap(build)
-        .map(lambda pair: LatticeDomain(pair[0], pair[1]))
-        .filter(lambda dom: dom.size <= max_size)
-    )
+from util import direct_gram_shift, gram_shift, small_domains
 
 
 class TestDomain:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftortho import (
     CoeffTensor,
@@ -10,15 +12,24 @@ from shiftortho import (
     ProjectionConfig,
     b_transform,
     check_shift_perpendicular,
-    gram_shift,
     is_shift_orthogonal,
+    project_columns,
     project_sso,
     project_sso_orth,
     random_tensor,
     theta_normalize,
 )
-from shiftortho.btransform import b_inverse
-from util import engineered_degenerate_real, random_real_tensor, sphere_subproblem_oracle
+from util import (
+    direct_b_inverse,
+    direct_b_transform,
+    direct_max_shift_inner,
+    direct_shift_violation,
+    engineered_degenerate_real,
+    gram_shift,
+    random_real_tensor,
+    small_domains,
+    sphere_subproblem_oracle,
+)
 
 
 class TestThetaNormalize:
@@ -51,6 +62,32 @@ class TestThetaNormalize:
             ProjectionConfig(zero_norm_eps=-1.0)
 
 
+class TestKernelContract:
+    def test_project_columns_works_in_place(self):
+        rng = np.random.default_rng(16)
+        dom = LatticeDomain((4,), (3,))
+        mode = project_sso(random_tensor(dom, rng))
+        for modes in (None, b_transform(mode).columns[None]):
+            columns = b_transform(random_tensor(dom, rng)).columns
+            out = project_columns(columns, dom, mode_columns=modes)
+            assert out is columns
+            assert np.abs(np.linalg.norm(columns, axis=0) - 1.0).max() <= 1e-12
+
+    def test_inputs_left_unchanged(self):
+        rng = np.random.default_rng(17)
+        for shifts, depths in (((4, 2), (3, 2)), ((1,), (3,))):
+            dom = LatticeDomain(shifts, depths)
+            mode = project_sso(random_real_tensor(dom, rng))
+            for b in (random_tensor(dom, rng), engineered_degenerate_real(dom, rng)):
+                p = b_transform(b)
+                kept = [t.data.copy() for t in (b, p, mode)]
+                theta_normalize(p)
+                project_sso(b)
+                project_sso_orth(b, [mode], validate=True)
+                for t, before in zip((b, p, mode), kept):
+                    assert np.array_equal(t.data, before)
+
+
 class TestProjectSso:
     def test_fixed_point_delta(self):
         dom = LatticeDomain((2,), (1,))
@@ -77,13 +114,17 @@ class TestProjectSso:
         assert np.allclose(out.data, expected, atol=1e-14)
 
     def test_equals_explicit_composition(self):
+        # direct transform sums, per-column normalization, direct inverse
         rng = np.random.default_rng(2)
-        for shifts, depths in (((4,), (3,)), ((2, 3), (3, 2)), ((8,), (1,))):
+        for shifts, depths in (
+            ((4,), (3,)), ((2, 3), (3, 2)), ((8,), (1,)), ((5,), (2,)), ((3, 5), (2, 1))
+        ):
             dom = LatticeDomain(shifts, depths)
             t = random_tensor(dom, rng)
-            fused = project_sso(t)
-            composed = b_inverse(theta_normalize(b_transform(t)))
-            assert np.abs(fused.data - composed.data).max() <= 1e-13
+            columns = direct_b_transform(t).reshape(dom.depth_count, dom.shift_count)
+            columns /= np.linalg.norm(columns, axis=0)
+            composed = direct_b_inverse(CoeffTensor(dom, columns.reshape(-1)))
+            assert np.abs(project_sso(t).data - composed).max() <= 1e-13
 
     def test_membership(self):
         rng = np.random.default_rng(3)
@@ -91,7 +132,7 @@ class TestProjectSso:
             dom = LatticeDomain(shifts, depths)
             for _ in range(5):
                 out = project_sso(random_tensor(dom, rng))
-                assert is_shift_orthogonal(out, 1e-10, method="direct").is_member
+                assert direct_shift_violation(out) <= 1e-10
 
     def test_per_frequency_optimality(self):
         # every output column solves the constrained column subproblem
@@ -139,7 +180,7 @@ class TestProjectSso:
             dom = LatticeDomain(shifts, depths)
             out = project_sso(engineered_degenerate_real(dom, rng))
             assert out.max_imag() <= 1e-12
-            assert is_shift_orthogonal(out, 1e-10, method="direct").is_member
+            assert direct_shift_violation(out) <= 1e-10
 
     def test_norm_criterion_equivalence(self):
         # transform-column norms near one iff the shift Gram is near identity
@@ -148,9 +189,8 @@ class TestProjectSso:
         members = [project_sso(random_tensor(dom, rng)) for _ in range(10)]
         non_members = [random_tensor(dom, rng) for _ in range(10)]
         for v in members + non_members:
-            report = is_shift_orthogonal(v, 1e-10, method="direct")
-            norm_near_one = report.max_norm_deviation <= 1e-12
-            gram_near_identity = report.max_constraint_violation <= 1e-10
+            norm_near_one = is_shift_orthogonal(v, 1e-10).max_norm_deviation <= 1e-12
+            gram_near_identity = direct_shift_violation(v) <= 1e-10
             assert norm_near_one == gram_near_identity
 
 
@@ -180,7 +220,7 @@ class TestProjectSsoOrth:
             dom = LatticeDomain(shifts, depths)
             mode = project_sso(random_real_tensor(dom, rng))
             out = project_sso_orth(random_tensor(dom, rng), [mode])
-            assert is_shift_orthogonal(out, 1e-10, method="direct").is_member
+            assert direct_shift_violation(out) <= 1e-10
             assert np.abs(gram_shift(out, mode)).max() <= 1e-10
 
     def test_successive_outputs_mutually_perpendicular(self):
@@ -192,10 +232,7 @@ class TestProjectSsoOrth:
             modes.append(out)
         for a in range(len(modes)):
             for b in range(a + 1, len(modes)):
-                report = check_shift_perpendicular(
-                    modes[a], modes[b], 1e-10, method="direct"
-                )
-                assert report.is_perpendicular
+                assert direct_max_shift_inner(modes[a], modes[b]) <= 1e-10
 
     def test_infeasible_error(self):
         rng = np.random.default_rng(13)
@@ -233,15 +270,34 @@ class TestCheckers:
         assert not report.is_member
         assert abs(report.max_constraint_violation - 3.0) <= 1e-12
 
-    def test_methods_agree(self):
-        rng = np.random.default_rng(15)
-        dom = LatticeDomain((4, 2), (3, 2))
+    @settings(max_examples=40, deadline=None)
+    @given(small_domains(max_axis=5, max_size=96), st.integers(0, 2**32 - 1), st.booleans())
+    def test_spectral_reports_match_direct_oracles(self, dom, seed, member):
+        # the spectral reports agree with the direct shift loops, and the
+        # per-frequency and per-shift criteria bound each other through a DFT
+        rng = np.random.default_rng(seed)
         v = random_tensor(dom, rng)
-        direct = is_shift_orthogonal(v, 1e-10, method="direct")
-        spectral = is_shift_orthogonal(v, 1e-10, method="spectral")
-        assert abs(
-            direct.max_constraint_violation - spectral.max_constraint_violation
-        ) <= 1e-10 * max(1.0, direct.max_constraint_violation)
+        if member:
+            v = project_sso(v)
+        f = random_tensor(dom, rng)
+        count = dom.shift_count
+
+        report = is_shift_orthogonal(v)
+        direct = direct_shift_violation(v)
+        violation = report.max_constraint_violation
+        assert abs(violation - direct) <= 1e-10 * max(1.0, direct)
+        nsq_dev = float(np.abs(report.per_frequency_norms**2 - 1.0).max())
+        slack = 1e-8 * max(1.0, float(np.linalg.norm(v.data)) ** 2)
+        assert violation <= nsq_dev + slack
+        assert nsq_dev <= count * violation + slack
+
+        perp = check_shift_perpendicular(v, f)
+        direct = direct_max_shift_inner(v, f)
+        max_shift, max_freq = perp.max_shift_inner, perp.max_frequency_inner
+        assert abs(max_shift - direct) <= 1e-10 * max(1.0, direct)
+        slack = 1e-8 * max(1.0, float(np.linalg.norm(v.data) * np.linalg.norm(f.data)))
+        assert max_shift <= max_freq + slack
+        assert max_freq <= count * max_shift + slack
 
     def test_perpendicular_disjoint_depths(self):
         dom = LatticeDomain((3,), (2,))

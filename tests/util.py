@@ -9,9 +9,11 @@ import cmath
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from shiftortho import (
     CoeffTensor,
+    DomainMismatchError,
     LatticeDomain,
     analyze_grid,
     cpw_energy,
@@ -24,6 +26,17 @@ from shiftortho import (
     unflatten,
 )
 from shiftortho.cpw import _initial_field
+
+
+def small_domains(max_axis=8, max_size=4096):
+    """Hypothesis strategy: random 1-3D lattice domains of bounded size."""
+    axis = st.integers(1, max_axis)
+    return (
+        st.integers(1, 3)
+        .flatmap(lambda d: st.tuples(st.tuples(*[axis] * d), st.tuples(*[axis] * d)))
+        .map(lambda pair: LatticeDomain(*pair))
+        .filter(lambda dom: dom.size <= max_size)
+    )
 
 
 def direct_b_transform(v: CoeffTensor) -> np.ndarray:
@@ -57,6 +70,47 @@ def direct_b_inverse(p: CoeffTensor) -> np.ndarray:
                 total += cmath.exp(-2j * math.pi * angle) * grid[depth_pos + ell]
             out[depth_pos + pos] = total / domain.shift_count
     return out.reshape(-1)
+
+
+def shift_correlation(g: CoeffTensor, f: CoeffTensor) -> np.ndarray:
+    """``<g, S(t) f>`` for every shift ``t``, one cyclic roll at a time."""
+    if g.domain != f.domain:
+        raise DomainMismatchError("tensors live on different domains")
+    domain = g.domain
+    corr = np.empty(domain.shifts, dtype=np.complex128)
+    for t in np.ndindex(*domain.shifts):
+        corr[t] = np.vdot(g.grid, np.roll(f.grid, t, axis=domain.shift_axes))
+    return corr
+
+
+def direct_shift_violation(v: CoeffTensor) -> float:
+    """Largest deviation of ``<v, S(s) v>`` from the Kronecker delta."""
+    corr = shift_correlation(v, v)
+    corr[(0,) * v.domain.d] -= 1.0
+    return float(np.abs(corr).max())
+
+
+def direct_max_shift_inner(g: CoeffTensor, f: CoeffTensor) -> float:
+    """Largest ``|<g, S(s) f>|`` over all shifts ``s``."""
+    return float(np.abs(shift_correlation(g, f)).max())
+
+
+def gram_shift(g: CoeffTensor, f: CoeffTensor) -> np.ndarray:
+    """Gram matrix of all shifted copies: entry ``(s', s) = <S(s')g, S(s)f>``.
+
+    Rows and columns enumerate shift vectors in canonical order.  The matrix
+    is circulant in ``s - s'`` because shifting both arguments by the same
+    amount leaves the inner product unchanged.
+    """
+    domain = g.domain
+    corr = shift_correlation(g, f)
+    vectors = list(domain.shift_vectors())
+    gram = np.empty((len(vectors), len(vectors)), dtype=np.complex128)
+    for row, sp in enumerate(vectors):
+        for col, sq in enumerate(vectors):
+            t = tuple((b - a) % n for a, b, n in zip(sp, sq, domain.shifts))
+            gram[row, col] = corr[t]
+    return gram
 
 
 def direct_gram_shift(g: CoeffTensor, f: CoeffTensor) -> np.ndarray:
