@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .coeffio import (
     CoeffFileError,
+    format_rows,
     read_coeff_file,
     write_coeff_file,
     write_sopw_table,
@@ -400,10 +401,11 @@ def cmd_cpw(args) -> int:
 
         samples_path = os.path.join(args.outdir, f"mode{index + 1}_samples.csv")
         with open(samples_path, "w", newline="", encoding="ascii") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["x", "psi"])
-            for xv, pv in zip(x, mode.samples):
-                writer.writerow([f"{xv:.17g}", f"{pv:.17g}"])
+            # csv.writer's default dialect: CRLF rows, numbers unquoted.
+            handle.write("x,psi\r\n")
+            handle.write(
+                format_rows("%.17g,%.17g\r\n", np.column_stack([x, mode.samples]))
+            )
         coeff_path = os.path.join(args.outdir, f"mode{index + 1}_coeffs.csv")
         write_coeff_file(coeff_path, mode.coeffs)
         mode_reports.append(

@@ -1,7 +1,11 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftortho import (
     CoeffTensor,
@@ -19,7 +23,18 @@ from shiftortho.coeffio import (
     read_sopw_table,
     write_coeff_file,
 )
-from util import random_real_tensor
+from util import random_real_tensor, row_by_row_coeff_text, small_domains
+
+HEADER_1D = '{"schema": 1, "d": 1, "L": [2], "N": [1], "kind": "%s"}\n'
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1.1125369292536007e-308, 1e308, -1e308,
+               1.7976931348623157e308)
+
+
+def read_error(path, text):
+    path.write_text(text)
+    with pytest.raises(CoeffFileError) as info:
+        read_coeff_file(path)
+    return info.value
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +118,83 @@ class TestCoeffFile:
         with pytest.raises(CoeffFileError):
             read_coeff_file(path)
 
+    @given(small_domains(max_size=256), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_bitwise_and_canonical(self, tmp_path_factory, dom, data):
+        value = st.one_of(st.sampled_from(EDGE_VALUES),
+                          st.floats(allow_nan=False, allow_infinity=False))
+        parts = np.array(data.draw(st.lists(value, min_size=2 * dom.size,
+                                            max_size=2 * dom.size)))
+        if data.draw(st.booleans()):
+            parts[1::2] = data.draw(st.sampled_from((0.0, -0.0)))
+        tensor = CoeffTensor(dom, parts.view(np.complex128))
+        path = tmp_path_factory.mktemp("round") / "t.csv"
+        write_coeff_file(path, tensor)
+        text = path.read_text()
+        assert text == row_by_row_coeff_text(tensor)
+        back = read_coeff_file(path)
+        assert back.domain == dom
+        assert np.array_equal(back.data.view(np.uint64), tensor.data.view(np.uint64))
+        write_coeff_file(path, back)
+        assert path.read_text() == text
+
+    def test_shuffled_rows(self, tmp_path):
+        rng = np.random.default_rng(8)
+        tensor = random_tensor(LatticeDomain((3, 2), (2, 2)), rng)
+        path = tmp_path / "t.csv"
+        write_coeff_file(path, tensor)
+        header, *rows = path.read_text().splitlines()
+        rng.shuffle(rows)
+        path.write_text("\n".join([header, *rows]) + "\n")
+        assert np.array_equal(read_coeff_file(path).data, tensor.data)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text(HEADER_1D % "real" + "\n  \n1,1,2.0,0\n\t\n1,0,1.0,0\n\n")
+        assert np.array_equal(read_coeff_file(path).data, [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "body, row, message",
+        [
+            ("1,0,1.0,0.0\n1,1,2.0\n", 3, "expected 4 fields, found 3"),
+            ("1,0,1.0,0.0\n1.0,1,2.0,0.0\n", 3, "integer indices"),
+            ("1,0,1.0,0.0\n1,2,2.0,0.0\n", 3, "shift index 2 outside 0..1"),
+            ("1,0,1.0,0.0\n2,1,2.0,0.0\n", 3, "depth index 2 outside 1..1"),
+            ("1,1,1.0,0.0\n1,1,2.0,0.0\n", 3, "duplicate entry for index (1, 1)"),
+            ("1,0,1.0,0.0\n\n1,x,2.0,0.0\n", 4, "integer indices"),
+            ("1,0,1.0,0.0\n\n1,1,inf,0.0\n", 4, "must be finite"),
+            ("\n1,0,nan,0.0\n1,1,1.0,0.0\n", 3, "must be finite"),
+            ("1,0,1.0,0.0\n\n\n1,1,2.0,1e-300\n", 5, "imaginary part is nonzero"),
+        ],
+    )
+    def test_bad_row_named_by_file_line(self, tmp_path, body, row, message):
+        error = read_error(tmp_path / "bad.csv", HEADER_1D % "real" + body)
+        assert error.row == row
+        assert message in str(error)
+
+    def test_first_bad_row_in_file_order(self, tmp_path):
+        # The bulk parse fails on line 5, but line 3 is the first bad row.
+        body = "1,0,1.0,0.0\n1,0,2.0,0.0\n1,9,3.0,0.0\n1,2,x,0.0\n"
+        header = HEADER_1D.replace("[2]", "[4]", 1) % "real"
+        error = read_error(tmp_path / "bad.csv", header + body)
+        assert error.row == 3
+        assert "duplicate" in str(error)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "5",
+            '["schema"]',
+            '{"schema": 1, "d": 1, "L": [2.5], "N": [1], "kind": "real"}',
+            '{"schema": 1, "d": 1, "L": ["2"], "N": [1], "kind": "real"}',
+            '{"schema": 1, "d": 1, "L": [2], "N": [true], "kind": "real"}',
+            '{"schema": 1, "d": 1, "L": 2, "N": [1], "kind": "real"}',
+        ],
+    )
+    def test_header_rejected_on_row_1(self, tmp_path, header):
+        error = read_error(tmp_path / "hdr.csv", header + "\n1,0,1.0,0.0\n1,1,2.0,0.0\n")
+        assert error.row == 1
+
 
 class TestProjectCommand:
     def test_member_passes_through(self, tmp_path, capsys):
@@ -173,6 +265,13 @@ class TestProjectCommand:
         bad.write_text("not json\n")
         code, _, _ = run_cli(capsys, "project", str(bad), str(tmp_path / "o.csv"))
         assert code == 1
+
+    def test_non_object_header_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("5\n1,0,1.0,0.0\n")
+        code, _, captured = run_cli(capsys, "project", str(bad), str(tmp_path / "o.csv"))
+        assert code == 1
+        assert "row 1" in captured.err
 
     def test_domain_mismatch_exit_2(self, tmp_path, capsys):
         rng = np.random.default_rng(7)
@@ -255,6 +354,24 @@ class TestCpwCommand:
         assert timing[0] == "mode,iterations,seconds"
         assert timing[-1].startswith("total,")
         assert len(timing) == 1 + 2 + 1  # header + one row per mode + total
+
+    def test_samples_csv_matches_csv_writer(self, tmp_path, capsys):
+        outdir = tmp_path / "run"
+        code, _, _ = run_cli(
+            capsys, "cpw", "--L", "8", "--N", "4", "--modes", "1",
+            "--grid", "128", "--outdir", str(outdir),
+        )
+        assert code == 0
+        written = (outdir / "mode1_samples.csv").read_bytes()
+        rows = written.decode("ascii").split("\r\n")[1:-1]
+        psi = [float(row.split(",")[1]) for row in rows]
+        x = np.arange(128) * 8.0 / 128
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["x", "psi"])
+        for xv, pv in zip(x, psi):
+            writer.writerow([f"{xv:.17g}", f"{pv:.17g}"])
+        assert written == expected.getvalue().encode("ascii")
 
     def test_non_convergence_exit_3(self, tmp_path, capsys):
         outdir = tmp_path / "run"

@@ -6,6 +6,7 @@ routes for each claim.
 """
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -37,6 +38,20 @@ def small_domains(max_axis=8, max_size=4096):
         .map(lambda pair: LatticeDomain(*pair))
         .filter(lambda dom: dom.size <= max_size)
     )
+
+
+def row_by_row_coeff_text(tensor: CoeffTensor) -> str:
+    """A coefficient file's text, one row per ``unflatten`` call."""
+    domain = tensor.domain
+    kind = "real" if not tensor.data.imag.any() else "complex"
+    header = {"schema": 1, "d": domain.d, "L": list(domain.shifts),
+              "N": list(domain.depths), "kind": kind}
+    lines = [json.dumps(header, sort_keys=True, separators=(", ", ": "))]
+    for flat, value in enumerate(tensor.data):
+        depth_idx, shift_idx = unflatten(domain, flat)
+        fields = [str(i) for i in depth_idx + shift_idx]
+        lines.append(",".join(fields + [f"{value.real:.17g}", f"{value.imag:.17g}"]))
+    return "\n".join(lines) + "\n"
 
 
 def direct_b_transform(v: CoeffTensor) -> np.ndarray:
