@@ -82,18 +82,42 @@ def write_coeff_file(path, tensor: CoeffTensor) -> None:
             handle.write(format_rows(template, table))
 
 
-def _read_header(line: str) -> tuple[LatticeDomain, str]:
-    """Validate the JSON header line; returns the domain and the value kind."""
+def _read_lines(path) -> list[str]:
+    """Lines of an ASCII text file; a non-ASCII byte is an error on its line."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        lines = raw.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        # The marker keeps a bad byte that opens a line on that line.
+        row = len((raw[: exc.start].decode("ascii") + "_").splitlines())
+        raise CoeffFileError(
+            f"non-ASCII byte 0x{raw[exc.start]:02x}", row=row
+        ) from None
+    if not lines:
+        raise CoeffFileError("empty file")
+    return lines
+
+
+def _header_object(line: str, keys: tuple[str, ...]) -> dict:
+    """Parse the JSON header line into an object holding every key in ``keys``."""
     try:
         header = json.loads(line)
     except json.JSONDecodeError as exc:
         raise CoeffFileError(f"invalid JSON header: {exc}", row=1) from exc
     if not isinstance(header, dict):
         raise CoeffFileError("header is not a JSON object", row=1)
-    for key in ("schema", "d", "L", "N", "kind"):
+    for key in keys:
         if key not in header:
             raise CoeffFileError(f"header missing key {key!r}", row=1)
-    if header["schema"] != SCHEMA_VERSION:
+    return header
+
+
+def _read_header(line: str) -> tuple[LatticeDomain, str]:
+    """Validate the JSON header line; returns the domain and the value kind."""
+    header = _header_object(line, ("schema", "d", "L", "N", "kind"))
+    # Compared by type as well: JSON true and 1.0 equal 1 in Python.
+    if type(header["schema"]) is not int or header["schema"] != SCHEMA_VERSION:
         raise CoeffFileError(f"unsupported schema {header['schema']}", row=1)
     if header["kind"] not in ("real", "complex"):
         raise CoeffFileError(f"unknown value kind {header['kind']!r}", row=1)
@@ -106,7 +130,7 @@ def _read_header(line: str) -> tuple[LatticeDomain, str]:
         domain = LatticeDomain(tuple(header["L"]), tuple(header["N"]))
     except ValueError as exc:
         raise CoeffFileError(f"invalid domain in header: {exc}", row=1) from exc
-    if header["d"] != domain.d:
+    if type(header["d"]) is not int or header["d"] != domain.d:
         raise CoeffFileError("header dimension disagrees with L/N lengths", row=1)
     return domain, header["kind"]
 
@@ -181,10 +205,7 @@ def read_coeff_file(path) -> CoeffTensor:
     The body is parsed and checked as whole arrays; only when a check fails
     are the rows walked one by one, to name the first bad file line.
     """
-    with open(path, "r", encoding="ascii") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        raise CoeffFileError("empty file")
+    lines = _read_lines(path)
     domain, kind = _read_header(lines[0])
     body = list(filter(str.strip, lines[1:]))
     if len(body) != domain.size:
@@ -220,16 +241,13 @@ def write_sopw_table(path, basis, table) -> None:
 
 def read_sopw_table(path):
     """Parse a basis coefficient table; returns ``(L, N, {(k, j): [(n, c)]})``."""
-    with open(path, "r", encoding="ascii") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        raise CoeffFileError("empty file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise CoeffFileError(f"invalid JSON header: {exc}", row=1) from exc
-    if header.get("kind") != "sopw-table":
+    lines = _read_lines(path)
+    header = _header_object(lines[0], ("kind", "L", "N"))
+    if header["kind"] != "sopw-table":
         raise CoeffFileError("not a basis table file", row=1)
+    for key in ("L", "N"):
+        if type(header[key]) is not int:
+            raise CoeffFileError(f"header {key!r} must be an integer", row=1)
     table: dict = {}
     for offset, line in enumerate(lines[1:]):
         if not line.strip():
@@ -244,4 +262,4 @@ def read_sopw_table(path):
         except ValueError as exc:
             raise CoeffFileError(str(exc), row=row_number) from exc
         table.setdefault((depth, shift_idx), []).append((mode, value))
-    return int(header["L"]), int(header["N"]), table
+    return header["L"], header["N"], table

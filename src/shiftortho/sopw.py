@@ -227,7 +227,8 @@ def gather_columns(coeffs: np.ndarray, basis: SopwBasis1D):
         raise ValueError(f"expected {2 * basis.band_limit + 1} band coefficients")
     tabs = _band_tables(basis)
     full = (tabs.gather_weight * coeffs[tabs.gather_src]).sum(axis=0)
-    residual = float(np.linalg.norm(full[-1])) / math.sqrt(basis.num_shifts)
+    cap = full[-1]
+    residual = math.sqrt(np.vdot(cap, cap).real / basis.num_shifts)
     return full[:-1], residual
 
 

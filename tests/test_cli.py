@@ -189,11 +189,57 @@ class TestCoeffFile:
             '{"schema": 1, "d": 1, "L": ["2"], "N": [1], "kind": "real"}',
             '{"schema": 1, "d": 1, "L": [2], "N": [true], "kind": "real"}',
             '{"schema": 1, "d": 1, "L": 2, "N": [1], "kind": "real"}',
+            '{"schema": true, "d": 1, "L": [2], "N": [1], "kind": "real"}',
+            '{"schema": 1, "d": 1.0, "L": [2], "N": [1], "kind": "real"}',
         ],
     )
     def test_header_rejected_on_row_1(self, tmp_path, header):
         error = read_error(tmp_path / "hdr.csv", header + "\n1,0,1.0,0.0\n1,1,2.0,0.0\n")
         assert error.row == 1
+
+    def test_non_ascii_byte_named_by_file_line(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes((HEADER_1D % "real").encode() + b"1,0,1.0,0.0\n1,1,2.0,0.0\xe9\n")
+        with pytest.raises(CoeffFileError) as info:
+            read_coeff_file(path)
+        assert info.value.row == 3
+        assert "0xe9" in str(info.value)
+
+    def test_non_ascii_byte_opening_a_line(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes((HEADER_1D % "real").encode() + b"1,0,1.0,0.0\r\n\xe91,1,2.0,0.0\n")
+        with pytest.raises(CoeffFileError) as info:
+            read_coeff_file(path)
+        assert info.value.row == 3
+
+
+class TestSopwTableFile:
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "5",
+            "not json",
+            '{"kind": "real", "L": 8, "N": 4}',
+            '{"kind": "sopw-table", "N": 4}',
+            '{"kind": "sopw-table", "L": 8.0, "N": 4}',
+            '{"kind": "sopw-table", "L": 8, "N": true}',
+            '{"kind": "sopw-table", "L": "8", "N": 4}',
+        ],
+    )
+    def test_header_rejected_on_row_1(self, tmp_path, header):
+        path = tmp_path / "table.csv"
+        path.write_text(header + "\n1,0,1,0.5,0.0\n")
+        with pytest.raises(CoeffFileError) as info:
+            read_sopw_table(path)
+        assert info.value.row == 1
+
+    def test_non_ascii_byte_named_by_file_line(self, tmp_path):
+        path = tmp_path / "table.csv"
+        header = '{"kind": "sopw-table", "L": 8, "N": 4, "schema": 1}\n'
+        path.write_bytes(header.encode() + b"1,0,1,0.5,0.0\n1,0,-1,0.5\xe9,0.0\n")
+        with pytest.raises(CoeffFileError) as info:
+            read_sopw_table(path)
+        assert info.value.row == 3
 
 
 class TestProjectCommand:
@@ -272,6 +318,27 @@ class TestProjectCommand:
         code, _, captured = run_cli(capsys, "project", str(bad), str(tmp_path / "o.csv"))
         assert code == 1
         assert "row 1" in captured.err
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            '{"schema": true, "d": 1, "L": [2], "N": [1], "kind": "real"}',
+            '{"schema": 1, "d": 1.0, "L": [2], "N": [1], "kind": "real"}',
+        ],
+    )
+    def test_boolean_or_float_header_number_exit_1(self, tmp_path, capsys, header):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(header + "\n1,0,1.0,0.0\n1,1,2.0,0.0\n")
+        code, _, captured = run_cli(capsys, "project", str(bad), str(tmp_path / "o.csv"))
+        assert code == 1
+        assert "row 1" in captured.err
+
+    def test_non_ascii_byte_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes((HEADER_1D % "real").encode() + b"1,0,1.0,0.0\n1,1,2.0,0.0\xe9\n")
+        code, _, captured = run_cli(capsys, "project", str(bad), str(tmp_path / "o.csv"))
+        assert code == 1
+        assert "row 3" in captured.err
 
     def test_domain_mismatch_exit_2(self, tmp_path, capsys):
         rng = np.random.default_rng(7)

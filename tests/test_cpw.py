@@ -21,6 +21,7 @@ from shiftortho import (
     solve_cpw_modes,
     support_fraction,
 )
+from shiftortho.cpw import _imag_bound
 from util import gram_shift, grid_bregman_reference, theta_energy
 
 
@@ -198,6 +199,56 @@ class TestSolver:
         samples[10:30] = 1.0
         assert support_fraction(samples) == 0.2
         assert support_fraction(np.zeros(8)) == 0.0
+
+
+class TestLoopBudget:
+    """Cost and bookkeeping of the Bregman loop itself."""
+
+    # One forward FFT of the initial field and one inverse FFT of its
+    # projection; the tail (b_inverse and the membership report) uses none.
+    SETUP_FFTS = 2
+
+    @pytest.mark.parametrize("iterations", [3, 11])
+    def test_two_ffts_per_iteration(self, monkeypatch, iterations):
+        calls = []
+        for name in ("fft", "ifft"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        basis = SopwBasis1D(8, 4)
+        prev = CpwModeSet(basis)
+        cfg = CpwConfig(grid_size=128, tol=1e-30, max_iter=iterations)
+        _, diag = solve_cpw_mode(prev, cfg, basis)
+        assert diag.iterations == iterations
+        assert len(calls) == 2 * iterations + self.SETUP_FFTS
+
+    @pytest.mark.parametrize("mu", [0.5, math.inf])
+    def test_last_energy_is_energy_of_returned_samples(self, mu):
+        basis = SopwBasis1D(8, 4)
+        cfg = CpwConfig(mu=mu, grid_size=128, tol=1e-30, max_iter=30)
+        mode, diag = solve_cpw_mode(None, cfg, basis)
+        expected = cpw_energy(mode.samples, mu, float(basis.num_shifts))
+        assert abs(diag.energy_history[-1] - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_imag_bound_covers_inverse_fft(self, seed):
+        rng = np.random.default_rng(seed)
+        band, grid_size = 24, 128
+        band_spectrum = rng.standard_normal(2 * band + 1) + 1j * rng.standard_normal(2 * band + 1)
+        spectrum = np.zeros(grid_size, dtype=complex)
+        spectrum[np.mod(np.arange(-band, band + 1), grid_size)] = band_spectrum
+        actual = np.abs(np.fft.ifft(spectrum).imag).max()
+        assert actual <= _imag_bound(band_spectrum, grid_size) * (1 + 1e-12)
+
+    def test_imag_bound_vanishes_on_hermitian_spectra(self):
+        rng = np.random.default_rng(5)
+        half = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        band_spectrum = np.concatenate([half[::-1].conj(), [0.7], half])
+        assert _imag_bound(band_spectrum, 64) == 0.0
 
 
 class TestAgainstGridReference:
