@@ -39,7 +39,7 @@ from .projection import (
     is_shift_orthogonal,
     project_columns,
 )
-from .sopw import SopwBasis1D, gather_columns, scatter_columns
+from .sopw import SopwBasis1D, analyze_spectrum, band_slots, synthesize_spectrum
 
 # Not called by the loop, but kept importable from this module:
 # perfbench/spans.py rebinds these names here when it traces a solve.
@@ -288,21 +288,15 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D,
     lam_h = lam / (symbol + lam + r)
     r_h = r / (symbol + lam + r)
     mode_columns = prev.bt_stack
-    band = basis.band_limit
-    slots = np.mod(np.arange(-band, band + 1), grid_size)
+    slots = band_slots(basis, grid_size)
     band_symbol = symbol[slots]
     band_r_h = r_h[slots]
-    # Grid FFT values on the band times this are basis Fourier coefficients.
-    to_band = math.sqrt(basis.num_shifts) / grid_size
 
     def project(spectrum):
         """Band spectrum of the projected field, its unit columns, the analysis residual."""
-        columns, cap_residual = gather_columns(to_band * spectrum[slots], basis)
+        columns, residual = analyze_spectrum(spectrum, slots, basis)
         unit = project_columns(columns, domain, pcfg, mode_columns)
-        outside = spectrum[band + 1 : grid_size - band]
-        out_of_band = to_band * math.sqrt(np.vdot(outside, outside).real)
-        return (scatter_columns(unit, basis) / to_band, unit,
-                math.hypot(out_of_band, cap_residual))
+        return synthesize_spectrum(unit, grid_size, basis), unit, residual
 
     # The projected spectrum v_hat is zero off the band slots, so only its
     # band values v_band are kept.

@@ -3,7 +3,7 @@
 A function expanded in a shift-orthogonal basis carries one complex
 coefficient per (depth, shift) multi-index pair.  This module fixes the
 canonical flat layout of those coefficients (depth axes outermost, shift
-axes innermost, each group row-major) and the cyclic shift action on them.
+axes innermost, each group row-major).
 
 Depth indices are 1-based, shift indices are 0-based and cyclic; this
 matches the usual conventions for frequency shells and lattice translates.
@@ -74,10 +74,6 @@ class LatticeDomain:
     def shift_axes(self) -> tuple[int, ...]:
         """Axes of :attr:`grid_shape` that index shifts."""
         return tuple(range(self.d, 2 * self.d))
-
-    def shift_vectors(self):
-        """All shift multi-indices in canonical (row-major) order."""
-        return np.ndindex(*self.shifts)
 
 
 @dataclass
@@ -155,44 +151,6 @@ def flatten(domain: LatticeDomain, depth_idx, shift_idx) -> int:
             raise IndexError(f"shift index {j} outside 0..{count - 1}")
     pos = tuple(i - 1 for i in depth_idx) + shift_idx
     return int(np.ravel_multi_index(pos, domain.grid_shape))
-
-
-def unflatten(domain: LatticeDomain, flat: int):
-    """Inverse of :func:`flatten`: returns ``(depth_idx, shift_idx)``."""
-    flat = int(flat)
-    if not 0 <= flat < domain.size:
-        raise IndexError(f"flat index {flat} outside 0..{domain.size - 1}")
-    parts = np.unravel_index(flat, domain.grid_shape)
-    depth_idx = tuple(int(p) + 1 for p in parts[: domain.d])
-    shift_idx = tuple(int(p) for p in parts[domain.d :])
-    return depth_idx, shift_idx
-
-
-def _as_shift_vector(domain: LatticeDomain, s) -> tuple[int, ...]:
-    if np.isscalar(s):
-        s = (s,)
-    s = tuple(int(v) for v in s)
-    if len(s) != domain.d:
-        raise IndexError("shift vector rank does not match domain dimension")
-    for v, count in zip(s, domain.shifts):
-        if not 0 <= v < count:
-            raise IndexError(f"shift component {v} outside 0..{count - 1}")
-    return s
-
-
-def shift(v: CoeffTensor, s) -> CoeffTensor:
-    """Cyclic shift action: ``out(i; j) = v(i; j - s)`` with per-axis wraparound."""
-    s = _as_shift_vector(v.domain, s)
-    rolled = np.roll(v.grid, s, axis=v.domain.shift_axes)
-    return CoeffTensor(v.domain, rolled.reshape(-1))
-
-
-def shift_inner(g: CoeffTensor, f: CoeffTensor, s) -> complex:
-    """Inner product ``<g, S(s) f>``, conjugate-linear in the first argument."""
-    if g.domain != f.domain:
-        raise DomainMismatchError("tensors live on different domains")
-    s = _as_shift_vector(g.domain, s)
-    return complex(np.vdot(g.grid, np.roll(f.grid, s, axis=g.domain.shift_axes)))
 
 
 def random_tensor(domain: LatticeDomain, rng: np.random.Generator,

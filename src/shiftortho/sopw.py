@@ -2,13 +2,16 @@
 
 Each basis element lives on a frequency shell (its depth index) and is a
 lattice translate of the shell generator (its shift index).  The family is
-defined through exact Fourier coefficients, so synthesis and analysis on a
-periodic grid reduce to sparse re-indexing plus FFTs.  This module builds
-those coefficient tables, converts between Fourier and basis coefficients,
-evaluates the closed pointwise forms, expands first/second derivatives over
-neighbouring shells, and runs the numerical primal-dual certificate showing
-the depth-1 generator minimizes kinetic energy among shift-orthogonal
-functions.
+defined through exact Fourier coefficients, so the B-transform columns of
+a basis expansion are the band Fourier coefficients grouped by residue
+class mod the shift count.  Band coefficients are plain arrays over the
+modes ``-band_limit..band_limit``.  This module builds the coefficient
+tables, gathers band coefficients into transform columns and scatters them
+back, analyzes and synthesizes grid spectra with one helper pair (shared by
+the grid transforms and the CPW solver), evaluates the closed pointwise
+forms, expands first/second derivatives over neighbouring shells, and runs
+the numerical primal-dual certificate showing the depth-1 generator
+minimizes kinetic energy among shift-orthogonal functions.
 
 Only even shift counts are supported; the half-shell edge frequencies that
 make the construction work do not exist for odd counts.
@@ -67,44 +70,6 @@ class SopwBasis1D:
     def default_grid(self) -> int:
         # Oversampling factor 2 over the Nyquist requirement.
         return 2 * self.depth_cap * self.num_shifts
-
-
-@dataclass
-class FourierRep:
-    """Truncated Fourier coefficients ``a(n)`` for ``|n| <= band_limit``."""
-
-    num_shifts: int
-    depth_cap: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.ascontiguousarray(self.coeffs, dtype=np.complex128).reshape(-1)
-        expected = self.num_shifts * self.depth_cap + 1
-        if coeffs.size != expected:
-            raise ValueError(f"expected {expected} coefficients, got {coeffs.size}")
-        if not np.isfinite(coeffs).all():
-            raise ValueError("coefficients must be finite")
-        self.coeffs = coeffs
-
-    @classmethod
-    def zeros(cls, num_shifts: int, depth_cap: int) -> "FourierRep":
-        return cls(num_shifts, depth_cap,
-                   np.zeros(num_shifts * depth_cap + 1, dtype=np.complex128))
-
-    @property
-    def band_limit(self) -> int:
-        return self.num_shifts * self.depth_cap // 2
-
-    def index(self, n: int) -> int:
-        if abs(n) > self.band_limit:
-            raise IndexError(f"mode {n} outside band |n| <= {self.band_limit}")
-        return n + self.band_limit
-
-    def get(self, n: int) -> complex:
-        return complex(self.coeffs[self.index(n)])
-
-    def set(self, n: int, value: complex) -> None:
-        self.coeffs[self.index(n)] = value
 
 
 def _sign_i_pow(n: int, p: int) -> complex:
@@ -215,13 +180,14 @@ def _band_tables(basis: SopwBasis1D) -> _BandTables:
 def gather_columns(coeffs: np.ndarray, basis: SopwBasis1D):
     """B-transform columns of the basis expansion of band Fourier coefficients.
 
-    ``coeffs`` holds ``a(n)`` for ``n = -band_limit..band_limit`` (the
-    ``FourierRep`` layout).  Returns ``(columns, residual)``: the
-    ``depth_cap x num_shifts`` columns of ``b_transform(fourier_to_sopw(f))``
-    and the norm of the part on the shell above the cap.  Column ``j`` of
-    shell ``k`` is ``L`` times the sum of the conjugate shell-``k`` weights
-    times ``a(n)`` over the modes ``n = -j mod L`` that shell owns, so no
-    FFT is needed.
+    ``coeffs`` holds ``a(n)`` for ``n = -band_limit..band_limit``.  Returns
+    ``(columns, residual)``: the ``depth_cap x num_shifts`` B-transform
+    columns of the function's basis coefficients, and the norm of the part
+    on the shell above the cap (the topmost edge modes are shared with that
+    shell, so part of them cannot be represented).  Column ``j`` of shell
+    ``k`` is ``L`` times the sum of the conjugate shell-``k`` weights times
+    ``a(n)`` over the modes ``n = -j mod L`` that shell owns, so no FFT is
+    needed.
     """
     if np.shape(coeffs) != (2 * basis.band_limit + 1,):
         raise ValueError(f"expected {2 * basis.band_limit + 1} band coefficients")
@@ -235,8 +201,9 @@ def gather_columns(coeffs: np.ndarray, basis: SopwBasis1D):
 def scatter_columns(columns: np.ndarray, basis: SopwBasis1D) -> np.ndarray:
     """Band Fourier coefficients of the tensor with B-transform ``columns``.
 
-    Inverse of :func:`gather_columns` inside the cap: equals
-    ``sopw_to_fourier(b_inverse(columns)).coeffs``.
+    Inverse of :func:`gather_columns` inside the cap: the superposition of
+    the sparse per-element Fourier coefficients weighted by the basis
+    coefficients ``b_inverse(columns)``.
     """
     if np.shape(columns) != (basis.depth_cap, basis.num_shifts):
         raise ValueError(
@@ -247,26 +214,39 @@ def scatter_columns(columns: np.ndarray, basis: SopwBasis1D) -> np.ndarray:
     return (tabs.scatter_weight * flat[tabs.scatter_src]).sum(axis=0)
 
 
-def fourier_to_sopw(f: FourierRep, basis: SopwBasis1D):
-    """Expand a band-limited Fourier representation over the basis.
+def band_slots(basis: SopwBasis1D, grid_size: int) -> np.ndarray:
+    """FFT positions of the band modes ``-band_limit..band_limit`` on the grid."""
+    band = basis.band_limit
+    if grid_size < 2 * band + 1:
+        raise AliasingError(
+            f"grid size {grid_size} below Nyquist requirement {2 * band + 1}"
+        )
+    return np.mod(np.arange(-band, band + 1), grid_size)
 
-    Returns ``(tensor, residual)``.  The residual is the norm of the
-    component living on the shell just above the depth cap: the topmost
-    edge modes are shared with that shell, so part of them cannot be
-    represented and is reported instead of silently dropped.
+
+def analyze_spectrum(spectrum: np.ndarray, slots: np.ndarray, basis: SopwBasis1D):
+    """B-transform columns of the basis expansion of a grid field.
+
+    ``spectrum`` is the unnormalized FFT of the field's samples and
+    ``slots`` its :func:`band_slots`.  Returns ``(columns, residual)``: the
+    residual is the norm of what the expansion drops, the grid modes
+    outside the band together with the above-cap part of the topmost edge
+    modes.
     """
-    if (f.num_shifts, f.depth_cap) != (basis.num_shifts, basis.depth_cap):
-        raise ValueError("Fourier representation does not match basis sizes")
-    columns, residual = gather_columns(f.coeffs, basis)
-    return b_inverse(CoeffTensor._trusted(basis.domain, columns)), residual
+    grid_size = spectrum.shape[0]
+    band = basis.band_limit
+    # Grid FFT values on the band times this are basis Fourier coefficients.
+    to_band = math.sqrt(basis.num_shifts) / grid_size
+    columns, cap_residual = gather_columns(to_band * spectrum[slots], basis)
+    outside = spectrum[band + 1 : grid_size - band]
+    out_of_band = to_band * math.sqrt(np.vdot(outside, outside).real)
+    return columns, math.hypot(out_of_band, cap_residual)
 
 
-def sopw_to_fourier(t: CoeffTensor, basis: SopwBasis1D) -> FourierRep:
-    """Superpose the sparse per-element Fourier coefficients of a tensor."""
-    if t.domain != basis.domain:
-        raise ValueError("tensor domain does not match basis")
-    coeffs = scatter_columns(b_transform(t).grid, basis)
-    return FourierRep(basis.num_shifts, basis.depth_cap, coeffs)
+def synthesize_spectrum(columns: np.ndarray, grid_size: int,
+                        basis: SopwBasis1D) -> np.ndarray:
+    """Unnormalized grid FFT values, on the band slots, of the field with ``columns``."""
+    return scatter_columns(columns, basis) / (math.sqrt(basis.num_shifts) / grid_size)
 
 
 def eval_closed_form(k: int, j: int, x: float, basis: SopwBasis1D) -> float:
@@ -308,50 +288,24 @@ def eval_closed_form(k: int, j: int, x: float, basis: SopwBasis1D) -> float:
 
 def synthesize_grid(t: CoeffTensor, grid_size: int, basis: SopwBasis1D) -> np.ndarray:
     """Samples of the represented function at ``m * period / grid_size``."""
-    rep = sopw_to_fourier(t, basis)
-    return fourier_samples(rep, grid_size)
-
-
-def fourier_samples(rep: FourierRep, grid_size: int) -> np.ndarray:
-    """Evaluate a truncated Fourier representation on a uniform grid."""
-    band = rep.band_limit
-    if grid_size < 2 * band + 1:
-        raise AliasingError(
-            f"grid size {grid_size} below Nyquist requirement {2 * band + 1}"
-        )
-    slots = np.zeros(grid_size, dtype=np.complex128)
-    n_values = np.arange(-band, band + 1)
-    slots[np.mod(n_values, grid_size)] = rep.coeffs / math.sqrt(rep.num_shifts)
-    return np.fft.ifft(slots) * grid_size
+    if t.domain != basis.domain:
+        raise ValueError("tensor domain does not match basis")
+    slots = band_slots(basis, grid_size)
+    spectrum = np.zeros(grid_size, dtype=np.complex128)
+    spectrum[slots] = synthesize_spectrum(b_transform(t).columns, grid_size, basis)
+    return np.fft.ifft(spectrum)
 
 
 def analyze_grid(samples: np.ndarray, basis: SopwBasis1D):
     """Expand grid samples over the basis.
 
-    Returns ``(tensor, residual)`` where the residual combines the energy
-    of grid modes outside the representable band with the above-cap part of
-    the topmost edge modes.
+    Returns ``(tensor, residual)`` with the residual of
+    :func:`analyze_spectrum`.
     """
     samples = np.ascontiguousarray(samples)
-    grid_size = samples.shape[0]
-    band = basis.band_limit
-    if grid_size < 2 * band + 1:
-        raise AliasingError(
-            f"grid size {grid_size} below Nyquist requirement {2 * band + 1}"
-        )
-    spectrum = np.fft.fft(samples) / grid_size
-    n_values = np.arange(-band, band + 1)
-    slots = np.mod(n_values, grid_size)
-    coeffs = math.sqrt(basis.num_shifts) * spectrum[slots]
-    in_band = np.zeros(grid_size, dtype=bool)
-    in_band[slots] = True
-    out_of_band_sq = basis.num_shifts * float(
-        np.sum(np.abs(spectrum[~in_band]) ** 2)
-    )
-    tensor, cap_residual = fourier_to_sopw(
-        FourierRep(basis.num_shifts, basis.depth_cap, coeffs), basis
-    )
-    return tensor, math.sqrt(out_of_band_sq + cap_residual**2)
+    slots = band_slots(basis, samples.shape[0])
+    columns, residual = analyze_spectrum(np.fft.fft(samples), slots, basis)
+    return b_inverse(CoeffTensor(basis.domain, columns)), residual
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,16 @@ from shiftortho import (
     is_shift_orthogonal,
     project_sso,
     random_tensor,
+)
+from util import (
+    direct_gram_shift,
+    gram_shift,
     shift,
+    shift_inner,
+    shift_vectors,
+    small_domains,
     unflatten,
 )
-from util import direct_gram_shift, gram_shift, small_domains
 
 
 class TestDomain:
@@ -165,13 +171,11 @@ class TestGramShift:
             gram_shift(a, b)
 
     def test_shift_inner_matches_gram_entry(self):
-        from shiftortho import shift_inner
-
         rng = np.random.default_rng(6)
         dom = LatticeDomain((4, 2), (2, 2))
         g = random_tensor(dom, rng)
         f = random_tensor(dom, rng)
-        vectors = list(dom.shift_vectors())
+        vectors = list(shift_vectors(dom))
         gram = gram_shift(g, f)
         for col, s in enumerate(vectors):
             assert abs(shift_inner(g, f, s) - gram[0, col]) <= 1e-12

@@ -7,22 +7,20 @@ import pytest
 from shiftortho import (
     AliasingError,
     CoeffTensor,
-    FourierRep,
     SopwBasis1D,
     analyze_grid,
+    b_inverse,
+    b_transform,
     eval_closed_form,
     first_derivative_stencil,
     flatten,
-    b_inverse,
-    b_transform,
-    fourier_to_sopw,
     gather_columns,
-    scatter_columns,
-    shell_moment_sums,
+    project_sso,
     random_tensor,
+    scatter_columns,
     second_derivative_stencil,
+    shell_moment_sums,
     sopw_fourier_coeffs,
-    sopw_to_fourier,
     synthesize_grid,
     verify_variational_certificate,
 )
@@ -41,6 +39,17 @@ def delta_tensor(basis, k, j):
     tensor = CoeffTensor.zeros(basis.domain)
     tensor.data[flatten(basis.domain, (k,), (j,))] = 1.0
     return tensor
+
+
+def expand(coeffs, basis):
+    """Basis tensor of band Fourier coefficients, and the above-cap residual."""
+    columns, residual = gather_columns(coeffs, basis)
+    return b_inverse(CoeffTensor(basis.domain, columns)), residual
+
+
+def band_coeffs(tensor, basis):
+    """Band Fourier coefficients of a basis tensor."""
+    return scatter_columns(b_transform(tensor).columns, basis)
 
 
 class TestBasisConstruction:
@@ -104,21 +113,23 @@ class TestBasisConstruction:
 
 
 class TestFourierConversion:
+    """Band coefficient arrays (modes ``-band_limit..band_limit``) and basis tensors."""
+
     def test_basis_element_reproduction(self):
         basis = SopwBasis1D(4, 3)
-        rep = FourierRep.zeros(4, 3)
+        coeffs = np.zeros(2 * basis.band_limit + 1, dtype=complex)
         for n, c in sopw_fourier_coeffs(1, 0, basis):
-            rep.set(n, c)
-        tensor, residual = fourier_to_sopw(rep, basis)
+            coeffs[n + basis.band_limit] = c
+        tensor, residual = expand(coeffs, basis)
         expected = delta_tensor(basis, 1, 0)
         assert np.abs(tensor.data - expected.data).max() <= 1e-12
         assert residual <= 1e-12
 
     def test_constant_mode_spreads_over_shifts(self):
         basis = SopwBasis1D(4, 2)
-        rep = FourierRep.zeros(4, 2)
-        rep.set(0, 1.0)
-        tensor, residual = fourier_to_sopw(rep, basis)
+        coeffs = np.zeros(2 * basis.band_limit + 1, dtype=complex)
+        coeffs[basis.band_limit] = 1.0
+        tensor, residual = expand(coeffs, basis)
         assert np.allclose(tensor.grid[0], 1 / math.sqrt(4))
         assert np.abs(tensor.grid[1]).max() <= 1e-15
         assert residual <= 1e-15
@@ -130,17 +141,16 @@ class TestFourierConversion:
         coeffs = rng.standard_normal(2 * band + 1) + 1j * rng.standard_normal(2 * band + 1)
         # strictly inside the band: the cap edges stay empty
         coeffs[0] = coeffs[-1] = 0.0
-        rep = FourierRep(6, 4, coeffs)
-        tensor, residual = fourier_to_sopw(rep, basis)
+        tensor, residual = expand(coeffs, basis)
         assert residual <= 1e-12
-        back = sopw_to_fourier(tensor, basis)
-        assert np.abs(back.coeffs - rep.coeffs).max() <= 1e-12
+        back = band_coeffs(tensor, basis)
+        assert np.abs(back - coeffs).max() <= 1e-12
 
     def test_cap_edge_goes_to_residual(self):
         basis = SopwBasis1D(4, 2)
-        rep = FourierRep.zeros(4, 2)
-        rep.set(basis.band_limit, 1.0)
-        tensor, residual = fourier_to_sopw(rep, basis)
+        coeffs = np.zeros(2 * basis.band_limit + 1, dtype=complex)
+        coeffs[-1] = 1.0  # mode +band_limit
+        tensor, residual = expand(coeffs, basis)
         # edge weight splits evenly between the cap shell and the one above
         assert abs(residual - 1 / math.sqrt(2)) <= 1e-12
         assert abs(np.linalg.norm(tensor.data) - 1 / math.sqrt(2)) <= 1e-12
@@ -149,20 +159,20 @@ class TestFourierConversion:
         rng = np.random.default_rng(1)
         basis = SopwBasis1D(8, 3)
         t = random_tensor(basis.domain, rng)
-        back, residual = fourier_to_sopw(sopw_to_fourier(t, basis), basis)
+        back, residual = expand(band_coeffs(t, basis), basis)
         assert np.abs(back.data - t.data).max() <= 1e-12
         assert residual <= 1e-12
 
     def test_zero_tensor(self):
         basis = SopwBasis1D(4, 2)
-        rep = sopw_to_fourier(CoeffTensor.zeros(basis.domain), basis)
-        assert np.abs(rep.coeffs).max() == 0.0
+        coeffs = band_coeffs(CoeffTensor.zeros(basis.domain), basis)
+        assert np.abs(coeffs).max() == 0.0
 
     def test_delta_matches_sparse_table(self):
         basis = SopwBasis1D(6, 3)
-        rep = sopw_to_fourier(delta_tensor(basis, 2, 1), basis)
+        coeffs = band_coeffs(delta_tensor(basis, 2, 1), basis)
         expected = sopw_fourier_vector(2, 1, basis, basis.band_limit)
-        assert np.abs(rep.coeffs - expected).max() <= 1e-14
+        assert np.abs(coeffs - expected).max() <= 1e-14
 
 
 GATHER_SIZES = [(2, 1), (4, 3), (8, 4), (16, 8)]
@@ -178,22 +188,11 @@ class TestColumnGatherScatter:
         return rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
     @pytest.mark.parametrize("num_shifts,depth_cap", GATHER_SIZES)
-    def test_gather_equals_transform_of_expansion(self, num_shifts, depth_cap):
-        basis = SopwBasis1D(num_shifts, depth_cap)
-        coeffs = self.random_band(basis, num_shifts + depth_cap)
-        columns, residual = gather_columns(coeffs, basis)
-        tensor, expected_residual = fourier_to_sopw(
-            FourierRep(num_shifts, depth_cap, coeffs), basis
-        )
-        assert columns.shape == (depth_cap, num_shifts)
-        assert np.abs(columns - b_transform(tensor).columns).max() <= 1e-12
-        assert abs(residual - expected_residual) <= 1e-12
-
-    @pytest.mark.parametrize("num_shifts,depth_cap", GATHER_SIZES)
     def test_gather_against_sparse_table(self, num_shifts, depth_cap):
         basis = SopwBasis1D(num_shifts, depth_cap)
         coeffs = self.random_band(basis, 7 * num_shifts + depth_cap)
         columns, residual = gather_columns(coeffs, basis)
+        assert columns.shape == (depth_cap, num_shifts)
         rows = sopw_analysis_rows(coeffs, basis)
         expected = direct_b_transform(CoeffTensor(basis.domain, rows[:-1].reshape(-1)))
         assert np.abs(columns.reshape(-1) - expected).max() <= 1e-12
@@ -207,7 +206,7 @@ class TestColumnGatherScatter:
                    + 1j * rng.standard_normal((depth_cap, num_shifts)))
         coeffs = scatter_columns(columns, basis)
         tensor = CoeffTensor(basis.domain, columns.reshape(-1))
-        expected = sopw_to_fourier(b_inverse(tensor), basis).coeffs
+        expected = band_coeffs(b_inverse(tensor), basis)
         assert np.abs(coeffs - expected).max() <= 1e-12
         band = basis.band_limit
         direct = direct_b_inverse(tensor).reshape(depth_cap, num_shifts)
@@ -321,6 +320,31 @@ class TestGridTransforms:
         tensor, residual = analyze_grid(samples, basis)
         assert abs(residual - 1.0) <= 1e-12
         assert np.abs(tensor.data).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "num_shifts,depth_cap,grid_size",
+        # the last two sit at 2 * band + 1, where no grid mode is off the band
+        [(4, 2, 32), (8, 4, 81), (16, 8, 512), (4, 2, 9), (8, 4, 33)],
+    )
+    def test_residual_of_field_beyond_band(self, num_shifts, depth_cap, grid_size):
+        basis = SopwBasis1D(num_shifts, depth_cap)
+        band = basis.band_limit
+        rng = np.random.default_rng(grid_size)
+        samples = rng.standard_normal(grid_size)
+        tensor, residual = analyze_grid(samples, basis)
+        spectrum = np.fft.fft(samples) / grid_size
+        positions = np.arange(-band, band + 1) % grid_size
+        in_band = np.zeros(grid_size, dtype=bool)
+        in_band[positions] = True
+        coeffs = math.sqrt(num_shifts) * spectrum[positions]
+        rows = sopw_analysis_rows(coeffs, basis)
+        expected = math.sqrt(
+            num_shifts * np.sum(np.abs(spectrum[~in_band]) ** 2)
+            + np.linalg.norm(rows[-1]) ** 2
+        )
+        assert abs(residual - expected) <= 1e-12
+        direct = direct_b_transform(CoeffTensor(basis.domain, rows[:-1].reshape(-1)))
+        assert np.abs(b_transform(tensor).data - direct).max() <= 1e-12
 
     def test_zero_analysis(self):
         basis = SopwBasis1D(4, 2)
@@ -448,8 +472,6 @@ class TestCertificate:
         assert abs(report.primal_objective - report.dual_objective) <= 1e-10
 
     def test_generator_minimizes_energy(self):
-        from shiftortho import project_sso, sopw_to_fourier
-
         basis = SopwBasis1D(8, 4)
         report = verify_variational_certificate(SopwBasis1D(8, 1))
         reference = theta_energy(basis)
@@ -460,8 +482,8 @@ class TestCertificate:
             member = project_sso(
                 CoeffTensor(basis.domain, rng.standard_normal(basis.domain.size))
             )
-            rep = sopw_to_fourier(member, basis)
-            energy = float(np.sum(eigenvalues * np.abs(rep.coeffs) ** 2))
+            coeffs = band_coeffs(member, basis)
+            energy = float(np.sum(eigenvalues * np.abs(coeffs) ** 2))
             assert reference <= energy + 1e-9
 
     def test_tail_periods_validation(self):

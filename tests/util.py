@@ -24,7 +24,6 @@ from shiftortho import (
     shrink,
     sopw_fourier_coeffs,
     synthesize_grid,
-    unflatten,
 )
 from shiftortho.cpw import _initial_field
 
@@ -38,6 +37,49 @@ def small_domains(max_axis=8, max_size=4096):
         .map(lambda pair: LatticeDomain(*pair))
         .filter(lambda dom: dom.size <= max_size)
     )
+
+
+def unflatten(domain: LatticeDomain, flat: int):
+    """Inverse of ``flatten``: returns ``(depth_idx, shift_idx)``."""
+    flat = int(flat)
+    if not 0 <= flat < domain.size:
+        raise IndexError(f"flat index {flat} outside 0..{domain.size - 1}")
+    parts = np.unravel_index(flat, domain.grid_shape)
+    depth_idx = tuple(int(p) + 1 for p in parts[: domain.d])
+    shift_idx = tuple(int(p) for p in parts[domain.d :])
+    return depth_idx, shift_idx
+
+
+def shift_vectors(domain: LatticeDomain):
+    """All shift multi-indices in canonical (row-major) order."""
+    return np.ndindex(*domain.shifts)
+
+
+def _as_shift_vector(domain: LatticeDomain, s) -> tuple[int, ...]:
+    if np.isscalar(s):
+        s = (s,)
+    s = tuple(int(v) for v in s)
+    if len(s) != domain.d:
+        raise IndexError("shift vector rank does not match domain dimension")
+    for v, count in zip(s, domain.shifts):
+        if not 0 <= v < count:
+            raise IndexError(f"shift component {v} outside 0..{count - 1}")
+    return s
+
+
+def shift(v: CoeffTensor, s) -> CoeffTensor:
+    """Cyclic shift action: ``out(i; j) = v(i; j - s)`` with per-axis wraparound."""
+    s = _as_shift_vector(v.domain, s)
+    rolled = np.roll(v.grid, s, axis=v.domain.shift_axes)
+    return CoeffTensor(v.domain, rolled.reshape(-1))
+
+
+def shift_inner(g: CoeffTensor, f: CoeffTensor, s) -> complex:
+    """Inner product ``<g, S(s) f>``, conjugate-linear in the first argument."""
+    if g.domain != f.domain:
+        raise DomainMismatchError("tensors live on different domains")
+    s = _as_shift_vector(g.domain, s)
+    return complex(np.vdot(g.grid, np.roll(f.grid, s, axis=g.domain.shift_axes)))
 
 
 def row_by_row_coeff_text(tensor: CoeffTensor) -> str:
@@ -119,7 +161,7 @@ def gram_shift(g: CoeffTensor, f: CoeffTensor) -> np.ndarray:
     """
     domain = g.domain
     corr = shift_correlation(g, f)
-    vectors = list(domain.shift_vectors())
+    vectors = list(shift_vectors(domain))
     gram = np.empty((len(vectors), len(vectors)), dtype=np.complex128)
     for row, sp in enumerate(vectors):
         for col, sq in enumerate(vectors):
