@@ -291,8 +291,10 @@ def _projection_config(args) -> ProjectionConfig:
 
 
 def cmd_project(args) -> int:
-    tensor = read_coeff_file(args.input)
     cfg = _projection_config(args)
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError("tol must be finite and nonnegative")
+    tensor = read_coeff_file(args.input)
     modes = [read_coeff_file(path) for path in args.modes or []]
     for mode in modes:
         if mode.domain != tensor.domain:

@@ -237,29 +237,3 @@ def write_sopw_table(path, basis, table) -> None:
             )
     with open(path, "w", encoding="ascii") as handle:
         handle.write("\n".join(lines) + "\n")
-
-
-def read_sopw_table(path):
-    """Parse a basis coefficient table; returns ``(L, N, {(k, j): [(n, c)]})``."""
-    lines = _read_lines(path)
-    header = _header_object(lines[0], ("kind", "L", "N"))
-    if header["kind"] != "sopw-table":
-        raise CoeffFileError("not a basis table file", row=1)
-    for key in ("L", "N"):
-        if type(header[key]) is not int:
-            raise CoeffFileError(f"header {key!r} must be an integer", row=1)
-    table: dict = {}
-    for offset, line in enumerate(lines[1:]):
-        if not line.strip():
-            continue
-        row_number = offset + 2
-        fields = line.split(",")
-        if len(fields) != 5:
-            raise CoeffFileError(f"expected 5 fields, found {len(fields)}", row=row_number)
-        try:
-            depth, shift_idx, mode = int(fields[0]), int(fields[1]), int(fields[2])
-            value = complex(float(fields[3]), float(fields[4]))
-        except ValueError as exc:
-            raise CoeffFileError(str(exc), row=row_number) from exc
-        table.setdefault((depth, shift_idx), []).append((mode, value))
-    return header["L"], header["N"], table

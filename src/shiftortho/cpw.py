@@ -37,7 +37,7 @@ from .projection import (
     ProjectionConfig,
     check_shift_perpendicular,
     is_shift_orthogonal,
-    project_columns,
+    normalize_columns,
 )
 from .sopw import SopwBasis1D, analyze_spectrum, band_slots, synthesize_spectrum
 
@@ -152,16 +152,11 @@ class CpwModeSet:
     def __init__(self, basis: SopwBasis1D):
         self.basis = basis
         self.modes: list[CpwMode] = []
-        self._bt_columns: list[np.ndarray] = []
+        # B-transform columns (depth_count x shift_count) of every mode.
+        self.bt_columns: list[np.ndarray] = []
 
     def __len__(self) -> int:
         return len(self.modes)
-
-    @property
-    def bt_stack(self) -> np.ndarray | None:
-        if not self._bt_columns:
-            return None
-        return np.stack(self._bt_columns)
 
     def add(self, mode: CpwMode, tol: float = _MODE_SET_TOL) -> None:
         report = is_shift_orthogonal(mode.coeffs, tol)
@@ -176,7 +171,7 @@ class CpwModeSet:
                     f"mode overlaps an earlier mode by {perp.max_shift_inner:.3e}"
                 )
         self.modes.append(mode)
-        self._bt_columns.append(b_transform(mode.coeffs).columns)
+        self.bt_columns.append(b_transform(mode.coeffs).columns)
 
 
 def _kinetic_symbol(grid_size: int, length: float) -> np.ndarray:
@@ -287,16 +282,26 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D,
     # The Helmholtz division, folded into the two penalty weights.
     lam_h = lam / (symbol + lam + r)
     r_h = r / (symbol + lam + r)
-    mode_columns = prev.bt_stack
+    mode_columns = prev.bt_columns
+    eps = pcfg.resolve_eps(domain)
     slots = band_slots(basis, grid_size)
     band_symbol = symbol[slots]
     band_r_h = r_h[slots]
+    # The modes are fixed for the solve, so the deflation stage of the
+    # column kernel becomes one batched product with the per-frequency
+    # projectors I - Q_j Q_j^H (shift_count x depth x depth).
+    projector = None
+    if mode_columns:
+        q = np.stack(mode_columns, axis=-1).transpose(1, 0, 2)
+        projector = np.eye(domain.depth_count) - q @ q.conj().transpose(0, 2, 1)
 
     def project(spectrum):
         """Band spectrum of the projected field, its unit columns, the analysis residual."""
         columns, residual = analyze_spectrum(spectrum, slots, basis)
-        unit = project_columns(columns, domain, pcfg, mode_columns)
-        return synthesize_spectrum(unit, grid_size, basis), unit, residual
+        if projector is not None:
+            columns = np.ascontiguousarray((projector @ columns.T[:, :, None])[:, :, 0].T)
+        normalize_columns(columns, eps, pcfg.fallback_vector, mode_columns)
+        return synthesize_spectrum(columns, grid_size, basis), columns, residual
 
     # The projected spectrum v_hat is zero off the band slots, so only its
     # band values v_band are kept.

@@ -17,13 +17,8 @@ from shiftortho import (
     sopw_fourier_coeffs,
 )
 from shiftortho.cli import main
-from shiftortho.coeffio import (
-    CoeffFileError,
-    read_coeff_file,
-    read_sopw_table,
-    write_coeff_file,
-)
-from util import random_real_tensor, row_by_row_coeff_text, small_domains
+from shiftortho.coeffio import CoeffFileError, read_coeff_file, write_coeff_file
+from util import random_real_tensor, read_sopw_table, row_by_row_coeff_text, small_domains
 
 HEADER_1D = '{"schema": 1, "d": 1, "L": [2], "N": [1], "kind": "%s"}\n'
 EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1.1125369292536007e-308, 1e308, -1e308,
@@ -339,6 +334,24 @@ class TestProjectCommand:
         code, _, captured = run_cli(capsys, "project", str(bad), str(tmp_path / "o.csv"))
         assert code == 1
         assert "row 3" in captured.err
+
+    @pytest.mark.parametrize(
+        "option", [("--eps", "-1"), ("--eps", "nan"), ("--tol", "-1"),
+                   ("--tol", "nan"), ("--tol", "inf")],
+    )
+    def test_invalid_threshold_exit_2(self, tmp_path, capsys, option):
+        # A NaN eps would send every column to the fallback and a NaN or
+        # infinite tol would make every membership verdict meaningless.
+        rng = np.random.default_rng(8)
+        source = tmp_path / "in.csv"
+        target = tmp_path / "out.csv"
+        write_coeff_file(source, random_tensor(LatticeDomain((4,), (3,)), rng))
+        code, status, captured = run_cli(capsys, "project", str(source), str(target),
+                                         *option)
+        assert code == 2
+        assert status is None
+        assert option[0][2:] in captured.err
+        assert not target.exists()
 
     def test_domain_mismatch_exit_2(self, tmp_path, capsys):
         rng = np.random.default_rng(7)

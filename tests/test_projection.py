@@ -1,3 +1,9 @@
+import itertools
+import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +11,13 @@ from hypothesis import strategies as st
 
 from shiftortho import (
     CoeffTensor,
+    CpwConfig,
     FallbackVector,
     InfeasibleDeflationError,
     LatticeDomain,
     ModePreconditionError,
     ProjectionConfig,
+    SopwBasis1D,
     b_transform,
     check_shift_perpendicular,
     is_shift_orthogonal,
@@ -17,8 +25,10 @@ from shiftortho import (
     project_sso,
     project_sso_orth,
     random_tensor,
+    solve_cpw_modes,
     theta_normalize,
 )
+from shiftortho import projection
 from util import (
     direct_b_inverse,
     direct_b_transform,
@@ -61,6 +71,12 @@ class TestThetaNormalize:
         with pytest.raises(ValueError):
             ProjectionConfig(zero_norm_eps=-1.0)
 
+    def test_nan_eps_rejected(self):
+        # NaN compares false with every norm, so every column would take
+        # the fallback whatever the input.
+        with pytest.raises(ValueError):
+            ProjectionConfig(zero_norm_eps=math.nan)
+
 
 class TestKernelContract:
     def test_project_columns_works_in_place(self):
@@ -73,19 +89,205 @@ class TestKernelContract:
             assert out is columns
             assert np.abs(np.linalg.norm(columns, axis=0) - 1.0).max() <= 1e-12
 
-    def test_inputs_left_unchanged(self):
+    def test_inputs_left_unchanged(self, monkeypatch):
         rng = np.random.default_rng(17)
-        for shifts, depths in (((4, 2), (3, 2)), ((1,), (3,))):
+        # also with blocks of one column, so multi-block calls run on the pool
+        for width, (shifts, depths) in itertools.product(
+            (1 << 40, 1), (((4, 2), (3, 2)), ((1,), (3,)))
+        ):
+            _split_columns(monkeypatch, width)
             dom = LatticeDomain(shifts, depths)
             mode = project_sso(random_real_tensor(dom, rng))
+            mode_columns = b_transform(mode).columns
             for b in (random_tensor(dom, rng), engineered_degenerate_real(dom, rng)):
                 p = b_transform(b)
                 kept = [t.data.copy() for t in (b, p, mode)]
+                kept_columns = mode_columns.copy()
                 theta_normalize(p)
                 project_sso(b)
                 project_sso_orth(b, [mode], validate=True)
+                project_columns(p.columns.copy(), dom, mode_columns=[mode_columns])
+                check_shift_perpendicular(b, mode)
                 for t, before in zip((b, p, mode), kept):
                     assert np.array_equal(t.data, before)
+                assert np.array_equal(mode_columns, kept_columns)
+
+
+def _split_columns(monkeypatch, width):
+    """Make the kernel split its input into blocks of ``width`` columns."""
+    monkeypatch.setattr(projection, "_BLOCK_COEFFS", 1)
+    monkeypatch.setattr(projection, "_MIN_BLOCK_COLUMNS", width)
+
+
+def _deflation_columns(dom, rng, count=2):
+    """Transform columns of ``count`` mutually shift-perpendicular modes."""
+    modes = []
+    for _ in range(count):
+        modes.append(project_sso_orth(random_tensor(dom, rng), modes))
+    return [b_transform(mode).columns for mode in modes]
+
+
+class _Submitted(Exception):
+    pass
+
+
+class _NoPool:
+    """Stands in for the kernel's thread pool and refuses all work."""
+
+    def map(self, *args, **kwargs):
+        raise _Submitted
+
+    submit = map
+
+
+class TestColumnBlocks:
+    """The kernel walks column blocks, on the pool when there are several."""
+
+    @pytest.mark.parametrize(
+        "shifts, depths", [((300,), (5,)), ((7, 9), (3, 2)), ((33,), (16,))]
+    )
+    def test_multi_block_bitwise_equals_single_block(self, monkeypatch, shifts, depths):
+        rng = np.random.default_rng(20)
+        dom = LatticeDomain(shifts, depths)
+        mode_columns = _deflation_columns(dom, rng)
+        columns = b_transform(random_tensor(dom, rng)).columns
+        g, f = random_tensor(dom, rng), random_tensor(dom, rng)
+        results = []
+        # one block; blocks of 7 columns (the last one partial for 300 and
+        # 33 shifts); one column per block
+        for width in (1 << 40, 7, 1):
+            _split_columns(monkeypatch, width)
+            perp = check_shift_perpendicular(g, f)
+            results.append([
+                project_columns(columns.copy(), dom),
+                project_columns(columns.copy(), dom, mode_columns=mode_columns),
+                np.array([perp.max_frequency_inner, perp.max_shift_inner]),
+            ])
+        for result in results[1:]:
+            for got, single in zip(result, results[0]):
+                assert np.array_equal(got, single)
+
+    @pytest.mark.parametrize("width", [1 << 40, 8])
+    def test_mode_list_equals_stack(self, monkeypatch, width):
+        _split_columns(monkeypatch, width)
+        rng = np.random.default_rng(21)
+        dom = LatticeDomain((40,), (4,))
+        mode_columns = _deflation_columns(dom, rng)
+        columns = b_transform(random_tensor(dom, rng)).columns
+        listed = project_columns(columns.copy(), dom, mode_columns=mode_columns)
+        stacked = project_columns(columns.copy(), dom, mode_columns=np.stack(mode_columns))
+        assert np.array_equal(listed, stacked)
+
+    @pytest.mark.parametrize("fallback", list(FallbackVector))
+    def test_zero_column_in_later_block(self, monkeypatch, fallback):
+        _split_columns(monkeypatch, 8)  # 5 blocks
+        rng = np.random.default_rng(22)
+        dom = LatticeDomain((40,), (4,))
+        columns = b_transform(random_tensor(dom, rng)).columns
+        columns[:, 29] = 0.0
+        out = project_columns(columns, dom, ProjectionConfig(fallback_vector=fallback))
+        expected = {
+            FallbackVector.UNIFORM_REAL: [0.5, 0.5, 0.5, 0.5],
+            FallbackVector.FIRST_CANONICAL: [1.0, 0.0, 0.0, 0.0],
+        }[fallback]
+        assert np.array_equal(out[:, 29], np.array(expected, dtype=complex))
+        assert np.abs(np.linalg.norm(out, axis=0) - 1.0).max() <= 1e-12
+
+    def test_zero_column_in_later_block_deflated(self, monkeypatch):
+        _split_columns(monkeypatch, 8)
+        rng = np.random.default_rng(23)
+        dom = LatticeDomain((40,), (4,))
+        mode_columns = _deflation_columns(dom, rng)
+        columns = b_transform(random_tensor(dom, rng)).columns
+        columns[:, 29] = 0.0
+        out = project_columns(columns, dom, mode_columns=mode_columns)
+        # Gram-Schmidt of the first canonical vector against the modes there
+        q = np.array([mode[:, 29] for mode in mode_columns])
+        residual = -q.conj()[:, 0] @ q
+        residual[0] += 1.0
+        assert np.abs(out[:, 29] - residual / np.linalg.norm(residual)).max() <= 1e-15
+        assert np.abs(q.conj() @ out[:, 29]).max() <= 1e-15
+        assert np.abs(np.linalg.norm(out, axis=0) - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("width", [1 << 40, 8])
+    def test_threshold_branch_at_eps(self, monkeypatch, width):
+        # Columns with one nonzero entry v have norm exactly |v| (sqrt of a
+        # rounded square is exact), so they sit a known number of ulps
+        # from the threshold: only v > eps is scaled, the rest fall back.
+        _split_columns(monkeypatch, width)
+        dom = LatticeDomain((40,), (4,))
+        eps = ProjectionConfig().resolve_eps(dom)
+        values = [eps]
+        for _ in range(3):
+            values.insert(0, np.nextafter(values[0], 0.0))
+            values.append(np.nextafter(values[-1], 1.0))
+        columns = np.zeros((4, 40), dtype=complex)
+        for j in range(40):
+            value = values[j % len(values)]
+            assert np.sqrt(value * value) == value
+            columns[j % 4, j] = value
+        out = project_columns(columns.copy(), dom)
+        for j in range(40):
+            if columns[j % 4, j].real > eps:
+                assert np.count_nonzero(out[:, j]) == 1
+                assert abs(out[j % 4, j] - 1.0) <= 1e-15
+            else:
+                assert np.array_equal(out[:, j], np.full(4, 0.5, dtype=complex))
+
+    def test_mode_validation_across_blocks(self, monkeypatch):
+        _split_columns(monkeypatch, 8)
+        rng = np.random.default_rng(24)
+        dom = LatticeDomain((40,), (4,))
+        mode_columns = _deflation_columns(dom, rng)
+        projection._validate_mode_columns(mode_columns)
+        mode_columns[1] = mode_columns[1].copy()
+        mode_columns[1][:, 37] *= 1.0 + 1e-6
+        with pytest.raises(ModePreconditionError):
+            projection._validate_mode_columns(mode_columns)
+
+    def test_single_block_calls_stay_on_caller_thread(self, monkeypatch):
+        monkeypatch.setattr(projection, "_POOL", _NoPool())
+        rng = np.random.default_rng(25)
+        dom = LatticeDomain((4096,), (16,))  # exactly one block at the real sizes
+        modes = []
+        for _ in range(2):
+            modes.append(project_sso_orth(random_tensor(dom, rng), modes, validate=True))
+        is_shift_orthogonal(modes[1])
+        check_shift_perpendicular(modes[0], modes[1])
+        theta_normalize(b_transform(modes[0]))
+        solve_cpw_modes(2, CpwConfig(grid_size=128, max_iter=5), SopwBasis1D(8, 4))
+        # the guard is live: one more shift makes two blocks
+        wider = LatticeDomain((4097,), (16,))
+        with pytest.raises(_Submitted):
+            project_sso(random_tensor(wider, rng))
+
+    def test_concurrent_callers_on_a_wide_pool(self, monkeypatch):
+        # More pool threads than cores, a short switch interval and several
+        # callers at once: a lost or misplaced block write would show as a
+        # difference from the single-block result.
+        rng = np.random.default_rng(26)
+        dom = LatticeDomain((600,), (4,))
+        mode_columns = _deflation_columns(dom, rng)
+        columns = b_transform(random_tensor(dom, rng)).columns
+        expected = project_columns(columns.copy(), dom, mode_columns=mode_columns)
+        pool = ThreadPoolExecutor(max_workers=4 * (os.cpu_count() or 1))
+        monkeypatch.setattr(projection, "_POOL", pool)
+        _split_columns(monkeypatch, 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as callers:
+                futures = [
+                    callers.submit(project_columns, columns.copy(), dom,
+                                   mode_columns=mode_columns)
+                    for _ in range(8)
+                ]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
+        for result in results:
+            assert np.array_equal(result, expected)
 
 
 class TestProjectSso:

@@ -25,6 +25,7 @@ from shiftortho import (
     sopw_fourier_coeffs,
     synthesize_grid,
 )
+from shiftortho.coeffio import CoeffFileError, _header_object, _read_lines
 from shiftortho.cpw import _initial_field
 
 
@@ -94,6 +95,37 @@ def row_by_row_coeff_text(tensor: CoeffTensor) -> str:
         fields = [str(i) for i in depth_idx + shift_idx]
         lines.append(",".join(fields + [f"{value.real:.17g}", f"{value.imag:.17g}"]))
     return "\n".join(lines) + "\n"
+
+
+def read_sopw_table(path):
+    """Parse a ``sopw --table`` file; returns ``(L, N, {(k, j): [(n, c)]})``.
+
+    Reads the header and the lines through the coefficient reader's own
+    helpers, so a bad header or byte raises :class:`CoeffFileError` with
+    the file line; the rows are parsed one at a time.
+    """
+    lines = _read_lines(path)
+    header = _header_object(lines[0], ("kind", "L", "N"))
+    if header["kind"] != "sopw-table":
+        raise CoeffFileError("not a basis table file", row=1)
+    for key in ("L", "N"):
+        if type(header[key]) is not int:
+            raise CoeffFileError(f"header {key!r} must be an integer", row=1)
+    table: dict = {}
+    for offset, line in enumerate(lines[1:]):
+        if not line.strip():
+            continue
+        row_number = offset + 2
+        fields = line.split(",")
+        if len(fields) != 5:
+            raise CoeffFileError(f"expected 5 fields, found {len(fields)}", row=row_number)
+        try:
+            depth, shift_idx, mode = int(fields[0]), int(fields[1]), int(fields[2])
+            value = complex(float(fields[3]), float(fields[4]))
+        except ValueError as exc:
+            raise CoeffFileError(str(exc), row=row_number) from exc
+        table.setdefault((depth, shift_idx), []).append((mode, value))
+    return header["L"], header["N"], table
 
 
 def direct_b_transform(v: CoeffTensor) -> np.ndarray:
