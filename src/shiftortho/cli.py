@@ -83,8 +83,9 @@ def _emit(payload: dict) -> None:
 # SVG output
 
 
-def _svg_panels(panels, width=880, panel_height=150, margin=42):
+def _svg_panels(panels):
     """Stacked line panels as a single SVG document string."""
+    width, panel_height, margin = 880, 150, 42
     height = margin + len(panels) * (panel_height + margin)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -135,9 +136,9 @@ def _svg_panels(panels, width=880, panel_height=150, margin=42):
     return "\n".join(parts)
 
 
-def write_svg(path, panels, **kwargs) -> None:
+def write_svg(path, panels) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_svg_panels(panels, **kwargs))
+        handle.write(_svg_panels(panels))
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +165,8 @@ class BenchSection:
 
 
 _MIN_SAMPLE_SECONDS = 3e-3
+# Fixed depth count while the shifts double, fixed shift count vice versa.
+_BENCH_DEPTHS, _BENCH_SHIFTS = 16, 64
 
 
 def _bench_section(label, domains, repeats, rng) -> BenchSection:
@@ -228,8 +231,7 @@ def _bench_section(label, domains, repeats, rng) -> BenchSection:
     )
 
 
-def run_bench(min_exp: int, max_exp: int, repeats: int, seed: int = 0,
-              fixed_depths: int = 16, fixed_shifts: int = 64) -> dict:
+def run_bench(min_exp: int, max_exp: int, repeats: int, seed: int = 0) -> dict:
     """Time the projection over doublings of the input size.
 
     Two sections grow the size by doubling the shift count at fixed depth
@@ -238,16 +240,16 @@ def run_bench(min_exp: int, max_exp: int, repeats: int, seed: int = 0,
     """
     if min_exp > max_exp:
         raise ValueError("min_exp must not exceed max_exp")
-    if 1 << min_exp <= max(fixed_depths, fixed_shifts):
+    if 1 << min_exp <= max(_BENCH_DEPTHS, _BENCH_SHIFTS):
         raise ValueError("exponent range too small for the fixed factors")
     rng = np.random.default_rng(seed)
     exponents = range(min_exp, max_exp + 1)
     shift_scaling = [
-        LatticeDomain(((1 << e) // fixed_depths,), (fixed_depths,))
+        LatticeDomain(((1 << e) // _BENCH_DEPTHS,), (_BENCH_DEPTHS,))
         for e in exponents
     ]
     depth_scaling = [
-        LatticeDomain((fixed_shifts,), ((1 << e) // fixed_shifts,))
+        LatticeDomain((_BENCH_SHIFTS,), ((1 << e) // _BENCH_SHIFTS,))
         for e in exponents
     ]
     sections = [
@@ -296,9 +298,6 @@ def cmd_project(args) -> int:
         raise ValueError("tol must be finite and nonnegative")
     tensor = read_coeff_file(args.input)
     modes = [read_coeff_file(path) for path in args.modes or []]
-    for mode in modes:
-        if mode.domain != tensor.domain:
-            raise DomainMismatchError("mode file domain differs from input domain")
     if modes:
         result = project_sso_orth(tensor, modes, cfg, validate=True)
     else:

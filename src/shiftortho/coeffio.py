@@ -215,7 +215,8 @@ def read_coeff_file(path) -> CoeffTensor:
     data = _bulk_values(body, domain, kind)
     if data is None:
         _raise_first_bad_row(lines, domain, kind)
-    return CoeffTensor(domain, data)
+    # _bulk_values checked finiteness and built a fresh complex128 array.
+    return CoeffTensor._trusted(domain, data)
 
 
 def write_sopw_table(path, basis, table) -> None:

@@ -29,13 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .btransform import b_inverse, b_transform
-from .lattice import CoeffTensor
+from .lattice import CoeffTensor, DomainMismatchError
 from .projection import (
     DEFAULT_CONFIG,
     InfeasibleDeflationError,
-    ModePreconditionError,
-    ProjectionConfig,
-    check_shift_perpendicular,
+    _validate_mode_columns,
     is_shift_orthogonal,
     normalize_columns,
 )
@@ -43,12 +41,11 @@ from .sopw import SopwBasis1D, analyze_spectrum, band_slots, synthesize_spectrum
 
 # Not called by the loop, but kept importable from this module:
 # perfbench/spans.py rebinds these names here when it traces a solve.
-from .projection import project_sso, project_sso_orth  # noqa: F401
+from .projection import check_shift_perpendicular, project_sso, project_sso_orth  # noqa: F401
 from .sopw import analyze_grid, synthesize_grid  # noqa: F401
 
 _SUPPORT_LEVEL = 1e-3
 _TINY = np.finfo(float).tiny
-_MODE_SET_TOL = 1e-8
 
 # Stability margin of the default Bregman penalties over the kinetic
 # curvature at the top of the target shell.  Found empirically: margins
@@ -112,11 +109,6 @@ class CpwConfig:
         grid_size = (
             self.grid_size if self.grid_size is not None else basis.default_grid()
         )
-        minimum = basis.num_shifts * basis.depth_cap + 1
-        if grid_size < minimum:
-            raise ValueError(
-                f"grid_size {grid_size} below basis requirement {minimum}"
-            )
         return self.mu, lam, r, grid_size
 
 
@@ -144,9 +136,11 @@ class CpwDiagnostics:
 class CpwModeSet:
     """Previously solved modes with cached transform columns.
 
-    Insertion checks the invariants the deflated projection relies on:
-    each mode is shift orthogonal and perpendicular to the shift span of
-    every earlier mode.
+    Insertion checks the invariant the deflated projection relies on: each
+    mode is shift orthogonal and perpendicular to the shift span of every
+    earlier mode.  Through the B-transform that is one condition, checked
+    on the cached columns: at every frequency the Gram matrix of the
+    modes' columns is the identity.
     """
 
     def __init__(self, basis: SopwBasis1D):
@@ -158,20 +152,13 @@ class CpwModeSet:
     def __len__(self) -> int:
         return len(self.modes)
 
-    def add(self, mode: CpwMode, tol: float = _MODE_SET_TOL) -> None:
-        report = is_shift_orthogonal(mode.coeffs, tol)
-        if not report.is_member:
-            raise ModePreconditionError(
-                f"mode violates shift orthogonality by {report.max_constraint_violation:.3e}"
-            )
-        for earlier in self.modes:
-            perp = check_shift_perpendicular(earlier.coeffs, mode.coeffs, tol)
-            if not perp.is_perpendicular:
-                raise ModePreconditionError(
-                    f"mode overlaps an earlier mode by {perp.max_shift_inner:.3e}"
-                )
+    def add(self, mode: CpwMode) -> None:
+        if mode.coeffs.domain != self.basis.domain:
+            raise DomainMismatchError("mode domain does not match the basis domain")
+        columns = b_transform(mode.coeffs).columns
+        _validate_mode_columns(self.bt_columns + [columns])
         self.modes.append(mode)
-        self.bt_columns.append(b_transform(mode.coeffs).columns)
+        self.bt_columns.append(columns)
 
 
 def _kinetic_symbol(grid_size: int, length: float) -> np.ndarray:
@@ -226,13 +213,13 @@ def _energy(samples: np.ndarray, spectrum: np.ndarray, symbol: np.ndarray,
     return l1 / mu + kinetic
 
 
-def support_fraction(samples: np.ndarray, level: float = _SUPPORT_LEVEL) -> float:
-    """Fraction of grid points above ``level`` times the peak magnitude."""
+def support_fraction(samples: np.ndarray) -> float:
+    """Fraction of grid points above ``1e-3`` times the peak magnitude."""
     magnitude = np.abs(samples)
     peak = magnitude.max()
     if peak == 0.0:
         return 0.0
-    return float(np.count_nonzero(magnitude > level * peak)) / samples.shape[0]
+    return float(np.count_nonzero(magnitude > _SUPPORT_LEVEL * peak)) / samples.shape[0]
 
 
 def _imag_bound(band_spectrum: np.ndarray, grid_size: int) -> float:
@@ -259,14 +246,14 @@ def _initial_field(cfg: CpwConfig, basis: SopwBasis1D, grid_size: int) -> np.nda
     return rng.standard_normal(grid_size)
 
 
-def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D,
-                   pcfg: ProjectionConfig = DEFAULT_CONFIG):
+def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D):
     """Run the Bregman loop for the next mode given the already-found set.
 
     Returns ``(mode, diagnostics)``.  The returned mode is the final
-    projection output, so it satisfies the constraints exactly up to
-    rounding even when the loop stops at ``max_iter`` without converging
-    (then ``diagnostics.converged`` is False).
+    projection output (under the default :class:`ProjectionConfig`), so
+    it satisfies the constraints exactly up to rounding even when the loop
+    stops at ``max_iter`` without converging (then
+    ``diagnostics.converged`` is False).
     """
     if prev is None:
         prev = CpwModeSet(basis)
@@ -283,7 +270,7 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D,
     lam_h = lam / (symbol + lam + r)
     r_h = r / (symbol + lam + r)
     mode_columns = prev.bt_columns
-    eps = pcfg.resolve_eps(domain)
+    eps = DEFAULT_CONFIG.resolve_eps(domain)
     slots = band_slots(basis, grid_size)
     band_symbol = symbol[slots]
     band_r_h = r_h[slots]
@@ -300,7 +287,7 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D,
         columns, residual = analyze_spectrum(spectrum, slots, basis)
         if projector is not None:
             columns = np.ascontiguousarray((projector @ columns.T[:, :, None])[:, :, 0].T)
-        normalize_columns(columns, eps, pcfg.fallback_vector, mode_columns)
+        normalize_columns(columns, eps, DEFAULT_CONFIG.fallback_vector, mode_columns)
         return synthesize_spectrum(columns, grid_size, basis), columns, residual
 
     # The projected spectrum v_hat is zero off the band slots, so only its
@@ -349,7 +336,7 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D,
             break
 
     coeffs = b_inverse(CoeffTensor(domain, unit.reshape(-1)))
-    report = is_shift_orthogonal(coeffs, _MODE_SET_TOL)
+    report = is_shift_orthogonal(coeffs)
     v = np.ascontiguousarray(v)
     mode = CpwMode(coeffs=coeffs, samples=v)
     diagnostics = CpwDiagnostics(
@@ -365,13 +352,12 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D,
     return mode, diagnostics
 
 
-def solve_cpw_modes(count: int, cfg: CpwConfig, basis: SopwBasis1D,
-                    pcfg: ProjectionConfig = DEFAULT_CONFIG):
+def solve_cpw_modes(count: int, cfg: CpwConfig, basis: SopwBasis1D):
     """Solve ``count`` modes sequentially; returns the set and diagnostics."""
     modes = CpwModeSet(basis)
     diagnostics = []
     for _ in range(count):
-        mode, diag = solve_cpw_mode(modes, cfg, basis, pcfg)
+        mode, diag = solve_cpw_mode(modes, cfg, basis)
         modes.add(mode)
         diagnostics.append(diag)
     return modes, diagnostics

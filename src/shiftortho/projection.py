@@ -246,15 +246,6 @@ def project_columns(columns: np.ndarray, domain: LatticeDomain,
     return columns
 
 
-def theta_normalize(p: CoeffTensor, cfg: ProjectionConfig = DEFAULT_CONFIG) -> CoeffTensor:
-    """Normalize every per-frequency column to the unit sphere.
-
-    Columns with norm at most the resolved threshold take the configured
-    real fallback column instead.  ``p`` is left unchanged.
-    """
-    return CoeffTensor._trusted(p.domain, project_columns(p.columns.copy(), p.domain, cfg))
-
-
 def _project(b: CoeffTensor, cfg: ProjectionConfig,
              mode_columns: Sequence[np.ndarray] | None) -> CoeffTensor:
     # The one projection route: the kernel and the inverse transform both
@@ -267,22 +258,29 @@ def _project(b: CoeffTensor, cfg: ProjectionConfig,
 def project_sso(b: CoeffTensor, cfg: ProjectionConfig = DEFAULT_CONFIG) -> CoeffTensor:
     """Closest shift-orthogonal tensor to ``b`` in the L2 sense.
 
-    Equals ``b_inverse(theta_normalize(b_transform(b), cfg))``.
+    Equals the inverse B-transform of the forward transform with every
+    column scaled to unit norm (vanishing columns take the configured
+    real fallback column).
     """
     return _project(b, cfg, None)
 
 
-def _validate_mode_columns(mode_columns: Sequence[np.ndarray]) -> None:
-    n = len(mode_columns)
-    depth_count, shift_count = mode_columns[0].shape
-    gram = np.empty((n, n, shift_count), dtype=np.complex128)
+def _frequency_inners(gs: Sequence[np.ndarray], f: np.ndarray) -> np.ndarray:
+    """``len(gs) x shift_count`` per-frequency inner products ``g^H f``, blocked."""
+    inners = np.empty((len(gs), f.shape[1]), dtype=np.complex128)
 
     def body(cols: slice) -> None:
-        block = [mode[:, cols] for mode in mode_columns]
-        for b, column in enumerate(block):
-            gram[:, b, cols] = _column_inners(block, column)
+        inners[:, cols] = _column_inners([g[:, cols] for g in gs], f[:, cols])
 
-    _each_block((depth_count, shift_count), body)
+    _each_block(f.shape, body)
+    return inners
+
+
+def _validate_mode_columns(mode_columns: Sequence[np.ndarray]) -> None:
+    """Require the per-frequency Gram matrix of the mode columns to be the identity."""
+    n = len(mode_columns)
+    gram = np.stack([_frequency_inners(mode_columns, column) for column in mode_columns],
+                    axis=1)
     gram -= np.eye(n, dtype=np.complex128)[:, :, None]
     worst = float(np.abs(gram).max())
     if worst > _MODE_ORTHONORMALITY_TOL:
@@ -356,13 +354,7 @@ def check_shift_perpendicular(g: CoeffTensor, f: CoeffTensor,
     """
     if g.domain != f.domain:
         raise DomainMismatchError("tensors live on different domains")
-    g_columns, f_columns = b_transform(g).columns, b_transform(f).columns
-    freq_inner = np.empty(g.domain.shift_count, dtype=np.complex128)
-
-    def body(cols: slice) -> None:
-        freq_inner[cols] = _column_inners([g_columns[:, cols]], f_columns[:, cols])[0]
-
-    _each_block(g_columns.shape, body)
+    freq_inner = _frequency_inners([b_transform(g).columns], b_transform(f).columns)[0]
     max_shift = float(np.abs(np.fft.ifftn(freq_inner.reshape(g.domain.shifts))).max())
     return ShiftPerpReport(
         max_frequency_inner=float(np.abs(freq_inner).max()),

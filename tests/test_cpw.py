@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from shiftortho import (
+    AliasingError,
     CoeffTensor,
     CpwConfig,
     CpwMode,
     CpwModeSet,
+    DomainMismatchError,
     InfeasibleDeflationError,
+    LatticeDomain,
     ModePreconditionError,
     SopwBasis1D,
     check_shift_perpendicular,
@@ -283,8 +286,8 @@ class TestConfigAndModeSet:
 
     def test_grid_size_checked_against_basis(self):
         basis = SopwBasis1D(8, 4)
-        with pytest.raises(ValueError):
-            CpwConfig(grid_size=16).resolve(basis)
+        with pytest.raises(AliasingError):
+            solve_cpw_mode(None, CpwConfig(grid_size=16), basis)
 
     def test_mode_set_rejects_non_member(self):
         basis = SopwBasis1D(4, 2)
@@ -304,3 +307,36 @@ class TestConfigAndModeSet:
         mode_set.add(CpwMode(member, np.zeros(32)))
         with pytest.raises(ModePreconditionError):
             mode_set.add(CpwMode(member.copy(), np.zeros(32)))
+
+    def test_mode_set_rejects_foreign_domain(self):
+        from shiftortho import project_sso
+
+        basis = SopwBasis1D(4, 2)
+        rng = np.random.default_rng(4)
+        foreign = project_sso(random_tensor(LatticeDomain((6,), (2,)), rng))
+        assert is_shift_orthogonal(foreign).is_member
+        mode_set = CpwModeSet(basis)
+        with pytest.raises(DomainMismatchError):
+            mode_set.add(CpwMode(foreign, np.zeros(32)))
+        assert len(mode_set) == 0
+
+    def test_one_transform_per_insertion(self, monkeypatch):
+        from shiftortho import cpw, project_sso, project_sso_orth, projection
+
+        basis = SopwBasis1D(4, 2)
+        rng = np.random.default_rng(5)
+        first = project_sso(random_tensor(basis.domain, rng))
+        second = project_sso_orth(random_tensor(basis.domain, rng), [first])
+        calls = []
+        for module in (cpw, projection):
+            original = module.b_transform
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "b_transform", counted)
+        mode_set = CpwModeSet(basis)
+        for inserted, mode in enumerate((first, second), start=1):
+            mode_set.add(CpwMode(mode, np.zeros(32)))
+            assert len(calls) == inserted

@@ -26,7 +26,6 @@ from shiftortho import (
     project_sso_orth,
     random_tensor,
     solve_cpw_modes,
-    theta_normalize,
 )
 from shiftortho import projection
 from util import (
@@ -39,6 +38,7 @@ from util import (
     random_real_tensor,
     small_domains,
     sphere_subproblem_oracle,
+    theta_normalize,
 )
 
 

@@ -16,9 +16,11 @@ from shiftortho import (
     CoeffTensor,
     DomainMismatchError,
     LatticeDomain,
+    ProjectionConfig,
     analyze_grid,
     cpw_energy,
     helmholtz_solve,
+    project_columns,
     project_sso,
     project_sso_orth,
     shrink,
@@ -126,6 +128,16 @@ def read_sopw_table(path):
             raise CoeffFileError(str(exc), row=row_number) from exc
         table.setdefault((depth, shift_idx), []).append((mode, value))
     return header["L"], header["N"], table
+
+
+def theta_normalize(p: CoeffTensor, cfg: ProjectionConfig = ProjectionConfig()) -> CoeffTensor:
+    """Every per-frequency column of ``p`` scaled to the unit sphere.
+
+    The library's column kernel on a copy, wrapped as a tensor: columns
+    with norm at most the resolved threshold take the configured real
+    fallback column.  ``p`` is left unchanged.
+    """
+    return CoeffTensor(p.domain, project_columns(p.columns.copy(), p.domain, cfg))
 
 
 def direct_b_transform(v: CoeffTensor) -> np.ndarray:
