@@ -10,8 +10,9 @@ projects onto the intersection with the orthogonal complement of the
 modes' shift span.  The columns are independent, so the kernel walks them
 in blocks of about 1 MiB (at least 256 columns), small enough to stay in
 a core's L2 cache through its deflate and normalize stages.  An input of
-several blocks is spread over a pool of as many threads as the FFTs use
-(``btransform._WORKERS``); a single block runs on the caller's thread.
+at least ``btransform._SPLIT_COEFFS`` coefficients and several blocks
+shares them between the caller's thread and the thread pool the FFTs
+use; a smaller input is one block, on the caller's thread.
 Callers already holding transform columns (the plane wave solver) call
 the kernel, or its normalize stage, directly.  The report-style checkers
 work on the transform side too: the inner products against all cyclic
@@ -23,13 +24,12 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .btransform import _WORKERS, _b_inverse_in_place, b_transform
+from .btransform import _SPLIT_COEFFS, _b_inverse_in_place, _run_parts, b_transform
 # Not called here, but kept importable from this module: perfbench/spans.py
 # rebinds this name here when it traces a run.
 from .btransform import b_inverse  # noqa: F401
@@ -47,10 +47,6 @@ _BLOCK_COEFFS = 1 << 16
 # rows of fewer columns cost more than the cache saves (16384 depths x 64
 # shifts ran 2-20x slower in blocks of 4-32 columns than in one block).
 _MIN_BLOCK_COLUMNS = 256
-
-# Runs the blocks of a multi-block call.  The executor starts its threads
-# on the first submit, not at import.
-_POOL = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="shiftortho-columns")
 
 
 class InfeasibleDeflationError(ValueError):
@@ -164,17 +160,14 @@ def _column_inners(gs: Sequence[np.ndarray], f: np.ndarray) -> list[np.ndarray]:
 def _each_block(shape: tuple[int, int], body: Callable[[slice], None]) -> None:
     """Call ``body`` on every column block of a ``depth x column`` matrix.
 
-    A single block runs on the caller's thread, several on the pool.
+    A matrix of fewer than ``_SPLIT_COEFFS`` coefficients is one block, on
+    the caller's thread; several blocks are shared with the library's pool.
     """
     depth_count, column_count = shape
     width = max(_MIN_BLOCK_COLUMNS, _BLOCK_COEFFS // depth_count)
-    if column_count <= width:
-        body(slice(0, column_count))
-        return
-    blocks = [slice(start, start + width) for start in range(0, column_count, width)]
-    # Reading every result re-raises an exception from any block.
-    for _ in _POOL.map(body, blocks):
-        pass
+    if depth_count * column_count < _SPLIT_COEFFS:
+        width = column_count
+    _run_parts(body, [slice(start, start + width) for start in range(0, column_count, width)])
 
 
 def deflate_columns(columns: np.ndarray, mode_columns: Sequence[np.ndarray]) -> None:

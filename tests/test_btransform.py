@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftortho import CoeffTensor, LatticeDomain, b_inverse, b_transform, random_tensor
+from shiftortho import btransform
 from util import direct_b_inverse, direct_b_transform
 
 
@@ -100,3 +101,43 @@ def test_linearity():
     combined = CoeffTensor(dom, alpha * a.data + beta * b.data)
     direct = alpha * b_transform(a).data + beta * b_transform(b).data
     assert np.abs(b_transform(combined).data - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize(
+    "shifts, depths",
+    [((37,), (1,)), ((37,), (2,)), ((37,), (3,)),
+     ((6, 5), (1, 1)), ((6, 5), (2, 1)), ((6, 5), (1, 3)),
+     ((4, 3, 5), (1, 1, 1)), ((4, 3, 5), (1, 2, 1)), ((4, 3, 5), (3, 1, 1))],
+)
+def test_split_passes_bitwise_equal_one_part(monkeypatch, shifts, depths, workers):
+    # Depth slabs (unequal for 3 depths over 2 workers), shift-axis parts
+    # when there are fewer depths than workers, and no split for one 1-D
+    # line all give the one-part result bit for bit.
+    dom = LatticeDomain(shifts, depths)
+    v = random_tensor(dom, np.random.default_rng(40))
+
+    def run():
+        return [b_transform(v).data, b_inverse(v).data,
+                btransform._b_inverse_in_place(b_transform(v)).data]
+
+    whole = run()
+    splits = []
+    run_parts = btransform._run_parts
+
+    def recording(body, parts):
+        splits.append(len(parts))
+        run_parts(body, parts)
+
+    monkeypatch.setattr(btransform, "_run_parts", recording)
+    monkeypatch.setattr(btransform, "_SPLIT_COEFFS", 1)
+    monkeypatch.setattr(btransform, "_WORKERS", workers)
+    for got, want in zip(run(), whole):
+        assert np.array_equal(got, want)
+    # depth slabs take every pass at once; otherwise each pass, last axis
+    # first, splits if another shift axis is long enough
+    per_transform = [workers] if dom.depth_count >= workers else [
+        workers if any(n >= workers for k, n in enumerate(shifts) if k != axis) else 1
+        for axis in reversed(range(dom.d))
+    ]
+    assert splits == 4 * per_transform

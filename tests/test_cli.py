@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +15,13 @@ from shiftortho import (
     CoeffTensor,
     LatticeDomain,
     SopwBasis1D,
+    check_shift_perpendicular,
     flatten,
     project_sso,
     random_tensor,
     sopw_fourier_coeffs,
 )
+from shiftortho import cli
 from shiftortho.cli import main
 from shiftortho.coeffio import CoeffFileError, read_coeff_file, write_coeff_file
 from util import random_real_tensor, read_sopw_table, row_by_row_coeff_text, small_domains
@@ -435,6 +441,21 @@ class TestCpwCommand:
         assert timing[-1].startswith("total,")
         assert len(timing) == 1 + 2 + 1  # header + one row per mode + total
 
+    def test_cross_violation_equals_shift_domain_check(self, tmp_path, capsys):
+        # The status value comes from the mode set's cached transform
+        # columns; the written modes re-read exactly, so the pairwise
+        # shift-domain checker must give the same figure bit for bit.
+        outdir = tmp_path / "run"
+        code, status, _ = run_cli(
+            capsys, "cpw", "--L", "8", "--N", "4", "--modes", "3",
+            "--grid", "128", "--outdir", str(outdir),
+        )
+        assert code == 0
+        modes = [read_coeff_file(outdir / f"mode{k}_coeffs.csv") for k in (1, 2, 3)]
+        expected = max(check_shift_perpendicular(modes[a], modes[b]).max_shift_inner
+                       for a in range(3) for b in range(a + 1, 3))
+        assert status["max_cross_violation"] == expected
+
     def test_samples_csv_matches_csv_writer(self, tmp_path, capsys):
         outdir = tmp_path / "run"
         code, _, _ = run_cli(
@@ -537,9 +558,6 @@ class TestUsage:
         assert main(["sopw"]) == 1
 
     def test_module_entrypoint(self, tmp_path):
-        import subprocess
-        import sys
-
         result = subprocess.run(
             [sys.executable, "-m", "shiftortho", "certify", "--L", "4"],
             capture_output=True,
@@ -547,3 +565,44 @@ class TestUsage:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout.splitlines()[-1])["all_passed"]
+
+
+class TestStartUp:
+    """Every invocation pays for importing the CLI, so it must not pull in scipy."""
+
+    SRC = str(Path(cli.__file__).resolve().parents[1])
+    PROJECT = (
+        "import contextlib, io, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from shiftortho import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['project', sys.argv[2], sys.argv[3]])\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        "sys.exit(code)\n"
+    )
+
+    def test_project_in_fresh_process_imports_no_scipy(self, tmp_path):
+        tiny_in, tiny_out = tmp_path / "in.csv", tmp_path / "out.csv"
+        dom = LatticeDomain((4,), (2,))
+        write_coeff_file(tiny_in, random_tensor(dom, np.random.default_rng(3)))
+        result = subprocess.run(
+            [sys.executable, "-c", self.PROJECT, self.SRC, str(tiny_in), str(tiny_out)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+        assert read_coeff_file(tiny_out).domain == dom
+
+    def test_module_help_imports_no_scipy(self):
+        path = os.pathsep.join(filter(None, [self.SRC, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "shiftortho", "--help"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("usage: shiftortho")
+        imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "shiftortho.cli" in imported
+        assert [name for name in imported if name.split(".")[0] == "scipy"] == []

@@ -208,8 +208,9 @@ class TestLoopBudget:
     """Cost and bookkeeping of the Bregman loop itself."""
 
     # One forward FFT of the initial field and one inverse FFT of its
-    # projection; the tail (b_inverse and the membership report) uses none.
-    SETUP_FFTS = 2
+    # projection; in the tail, b_inverse of the coefficients and the
+    # membership report's b_transform make one shift-axis FFT each.
+    SETUP_FFTS = 4
 
     @pytest.mark.parametrize("iterations", [3, 11])
     def test_two_ffts_per_iteration(self, monkeypatch, iterations):

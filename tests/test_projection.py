@@ -27,7 +27,7 @@ from shiftortho import (
     random_tensor,
     solve_cpw_modes,
 )
-from shiftortho import projection
+from shiftortho import btransform, projection
 from util import (
     direct_b_inverse,
     direct_b_transform,
@@ -115,6 +115,7 @@ class TestKernelContract:
 
 def _split_columns(monkeypatch, width):
     """Make the kernel split its input into blocks of ``width`` columns."""
+    monkeypatch.setattr(projection, "_SPLIT_COEFFS", 1)
     monkeypatch.setattr(projection, "_BLOCK_COEFFS", 1)
     monkeypatch.setattr(projection, "_MIN_BLOCK_COLUMNS", width)
 
@@ -132,7 +133,7 @@ class _Submitted(Exception):
 
 
 class _NoPool:
-    """Stands in for the kernel's thread pool and refuses all work."""
+    """Stands in for the library's thread pool and refuses all work."""
 
     def map(self, *args, **kwargs):
         raise _Submitted
@@ -246,48 +247,66 @@ class TestColumnBlocks:
             projection._validate_mode_columns(mode_columns)
 
     def test_single_block_calls_stay_on_caller_thread(self, monkeypatch):
-        monkeypatch.setattr(projection, "_POOL", _NoPool())
+        # Below the split size neither FFT passes nor kernel blocks submit.
+        monkeypatch.setattr(btransform, "_POOL", _NoPool())
         rng = np.random.default_rng(25)
-        dom = LatticeDomain((4096,), (16,))  # exactly one block at the real sizes
+        dom = LatticeDomain((4096,), (16,))  # 2^16 coefficients: one slab, one block
         modes = []
         for _ in range(2):
             modes.append(project_sso_orth(random_tensor(dom, rng), modes, validate=True))
         is_shift_orthogonal(modes[1])
         check_shift_perpendicular(modes[0], modes[1])
         theta_normalize(b_transform(modes[0]))
+        # too few depths for depth slabs: passes would split along a shift axis
+        flat = LatticeDomain((256, 256), (1, 1))
+        project_sso(random_tensor(flat, rng))
         solve_cpw_modes(2, CpwConfig(grid_size=128, max_iter=5), SopwBasis1D(8, 4))
-        # the guard is live: one more shift makes two blocks
-        wider = LatticeDomain((4097,), (16,))
+        # the guard is live: twice the size splits FFT passes and kernel alike
+        wide = LatticeDomain((8192,), (16,))
+        for wider in (wide, LatticeDomain((256, 512), (1, 1))):
+            v = random_tensor(wider, rng)
+            with pytest.raises(_Submitted):
+                b_transform(v)
+            with pytest.raises(_Submitted):
+                btransform._b_inverse_in_place(v.copy())
         with pytest.raises(_Submitted):
-            project_sso(random_tensor(wider, rng))
+            project_columns(random_tensor(wide, rng).columns, wide)
 
     def test_concurrent_callers_on_a_wide_pool(self, monkeypatch):
         # More pool threads than cores, a short switch interval and several
-        # callers at once: a lost or misplaced block write would show as a
-        # difference from the single-block result.
+        # callers at once: a lost or misplaced slab or block write would
+        # show as a difference from the one-part result.
         rng = np.random.default_rng(26)
         dom = LatticeDomain((600,), (4,))
         mode_columns = _deflation_columns(dom, rng)
-        columns = b_transform(random_tensor(dom, rng)).columns
-        expected = project_columns(columns.copy(), dom, mode_columns=mode_columns)
+        b = random_tensor(dom, rng)
+        columns = b_transform(b).columns
+
+        def work():
+            return [b_transform(b).data,
+                    project_columns(columns.copy(), dom, mode_columns=mode_columns),
+                    project_sso_orth(b, [project_sso(b)]).data]
+
+        expected = work()
         pool = ThreadPoolExecutor(max_workers=4 * (os.cpu_count() or 1))
-        monkeypatch.setattr(projection, "_POOL", pool)
+        monkeypatch.setattr(btransform, "_POOL", pool)
+        # three unequal depth slabs per FFT pass, blocks of three columns
+        monkeypatch.setattr(btransform, "_SPLIT_COEFFS", 1)
+        monkeypatch.setattr(btransform, "_WORKERS", 3)
         _split_columns(monkeypatch, 3)
+        assert len(btransform._split(dom.depth_count)) == 3
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as callers:
-                futures = [
-                    callers.submit(project_columns, columns.copy(), dom,
-                                   mode_columns=mode_columns)
-                    for _ in range(8)
-                ]
+                futures = [callers.submit(work) for _ in range(8)]
                 results = [future.result(timeout=60) for future in futures]
         finally:
             sys.setswitchinterval(interval)
             pool.shutdown()
         for result in results:
-            assert np.array_equal(result, expected)
+            for got, want in zip(result, expected):
+                assert np.array_equal(got, want)
 
 
 class TestProjectSso:
