@@ -42,8 +42,8 @@ from .projection import (
     FallbackVector,
     InfeasibleDeflationError,
     ModePreconditionError,
+    ModeSpan,
     ProjectionConfig,
-    _frequency_inners,
     is_shift_orthogonal,
     project_sso,
     project_sso_orth,
@@ -303,7 +303,7 @@ def cmd_project(args) -> int:
     tensor = read_coeff_file(args.input)
     modes = [read_coeff_file(path) for path in args.modes or []]
     if modes:
-        result = project_sso_orth(tensor, modes, cfg, validate=True)
+        result = project_sso_orth(tensor, ModeSpan(tensor.domain, modes), cfg)
     else:
         result = project_sso(tensor, cfg)
     write_coeff_file(args.output, result)
@@ -450,15 +450,6 @@ def cmd_cpw(args) -> int:
              f"{sum(t[2] for t in timings):.6f}"]
         )
 
-    # Largest inner product of a mode with a cyclic shift of a later one:
-    # the inverse DFT of the per-frequency inner products of the modes'
-    # cached transform columns.
-    max_cross = 0.0
-    columns = mode_set.bt_columns
-    for b in range(1, len(columns)):
-        for inner in _frequency_inners(columns[:b], columns[b]):
-            shift_inners = np.fft.ifftn(inner.reshape(basis.domain.shifts))
-            max_cross = max(max_cross, float(np.abs(shift_inners).max()))
     all_converged = all(report["converged"] for report in mode_reports)
     _emit(
         {
@@ -477,7 +468,7 @@ def cmd_cpw(args) -> int:
             },
             "outdir": str(args.outdir),
             "modes": mode_reports,
-            "max_cross_violation": max_cross,
+            "max_cross_violation": mode_set.span.max_shift_inner,
             "all_converged": all_converged,
             "figure": figure_path,
             "timing_table": timing_path,

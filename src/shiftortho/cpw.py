@@ -28,12 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .btransform import b_inverse, b_transform
-from .lattice import CoeffTensor, DomainMismatchError
+from .btransform import b_inverse
+from .lattice import CoeffTensor
 from .projection import (
     DEFAULT_CONFIG,
     InfeasibleDeflationError,
-    _validate_mode_columns,
+    ModeSpan,
     is_shift_orthogonal,
     normalize_columns,
 )
@@ -41,6 +41,7 @@ from .sopw import SopwBasis1D, analyze_spectrum, band_slots, synthesize_spectrum
 
 # Not called by the loop, but kept importable from this module:
 # perfbench/spans.py rebinds these names here when it traces a solve.
+from .btransform import b_transform  # noqa: F401
 from .projection import check_shift_perpendicular, project_sso, project_sso_orth  # noqa: F401
 from .sopw import analyze_grid, synthesize_grid  # noqa: F401
 
@@ -134,31 +135,19 @@ class CpwDiagnostics:
 
 
 class CpwModeSet:
-    """Previously solved modes with cached transform columns.
-
-    Insertion checks the invariant the deflated projection relies on: each
-    mode is shift orthogonal and perpendicular to the shift span of every
-    earlier mode.  Through the B-transform that is one condition, checked
-    on the cached columns: at every frequency the Gram matrix of the
-    modes' columns is the identity.
-    """
+    """Solved modes on a basis; their :class:`ModeSpan` checks each one added."""
 
     def __init__(self, basis: SopwBasis1D):
         self.basis = basis
+        self.span = ModeSpan(basis.domain)
         self.modes: list[CpwMode] = []
-        # B-transform columns (depth_count x shift_count) of every mode.
-        self.bt_columns: list[np.ndarray] = []
 
     def __len__(self) -> int:
         return len(self.modes)
 
     def add(self, mode: CpwMode) -> None:
-        if mode.coeffs.domain != self.basis.domain:
-            raise DomainMismatchError("mode domain does not match the basis domain")
-        columns = b_transform(mode.coeffs).columns
-        _validate_mode_columns(self.bt_columns + [columns])
+        self.span.add(mode.coeffs)
         self.modes.append(mode)
-        self.bt_columns.append(columns)
 
 
 def _kinetic_symbol(grid_size: int, length: float) -> np.ndarray:
@@ -269,7 +258,7 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D):
     # The Helmholtz division, folded into the two penalty weights.
     lam_h = lam / (symbol + lam + r)
     r_h = r / (symbol + lam + r)
-    mode_columns = prev.bt_columns
+    mode_columns = prev.span.columns
     eps = DEFAULT_CONFIG.resolve_eps(domain)
     slots = band_slots(basis, grid_size)
     band_symbol = symbol[slots]

@@ -1,23 +1,19 @@
 """Fast L2 projection onto the set of shift-orthogonal coefficient vectors.
 
-Every projection takes one route: :func:`b_transform`, then the one
-per-column kernel :func:`project_columns`, then :func:`b_inverse`, the
-last two in the forward transform's buffer.  The kernel normalizes each
-per-frequency column to the unit sphere in place
-(with a fixed real fallback for vanishing columns); given the transformed
-columns of previously found modes it first removes their span, which
-projects onto the intersection with the orthogonal complement of the
-modes' shift span.  The columns are independent, so the kernel walks them
-in blocks of about 1 MiB (at least 256 columns), small enough to stay in
-a core's L2 cache through its deflate and normalize stages.  An input of
-at least ``btransform._SPLIT_COEFFS`` coefficients and several blocks
-shares them between the caller's thread and the thread pool the FFTs
-use; a smaller input is one block, on the caller's thread.
-Callers already holding transform columns (the plane wave solver) call
-the kernel, or its normalize stage, directly.  The report-style checkers
-work on the transform side too: the inner products against all cyclic
-shifts are one inverse DFT of per-frequency quantities.  The direct shift
-loops that check them independently live with the test oracles, not here.
+Every projection takes one route: :func:`b_transform`, the per-column
+kernel :func:`project_columns`, then :func:`b_inverse`, the last two in
+the forward transform's buffer.  The kernel scales each per-frequency
+column to unit norm in place (a fixed real fallback replaces vanishing
+columns); given the transformed columns of earlier modes, held and
+checked by a :class:`ModeSpan`, it first removes their span, so the
+result is also perpendicular to every shift of every mode.
+The kernel walks the columns in blocks of about 1 MiB (at least 256
+columns), which stay in a core's L2 cache through both stages; an input
+of at least ``btransform._SPLIT_COEFFS`` coefficients and several blocks
+shares them with the FFTs' thread pool.  The solver calls the kernel, or
+its normalize stage, directly.  The checkers work on the transform side
+too: inner products against all cyclic shifts are one inverse DFT of
+per-frequency quantities; the direct shift loops are test oracles.
 """
 
 from __future__ import annotations
@@ -239,15 +235,6 @@ def project_columns(columns: np.ndarray, domain: LatticeDomain,
     return columns
 
 
-def _project(b: CoeffTensor, cfg: ProjectionConfig,
-             mode_columns: Sequence[np.ndarray] | None) -> CoeffTensor:
-    # The one projection route: the kernel and the inverse transform both
-    # work in place on the fresh forward transform.
-    p = b_transform(b)
-    project_columns(p.columns, p.domain, cfg, mode_columns)
-    return _b_inverse_in_place(p)
-
-
 def project_sso(b: CoeffTensor, cfg: ProjectionConfig = DEFAULT_CONFIG) -> CoeffTensor:
     """Closest shift-orthogonal tensor to ``b`` in the L2 sense.
 
@@ -255,7 +242,7 @@ def project_sso(b: CoeffTensor, cfg: ProjectionConfig = DEFAULT_CONFIG) -> Coeff
     column scaled to unit norm (vanishing columns take the configured
     real fallback column).
     """
-    return _project(b, cfg, None)
+    return project_sso_orth(b, (), cfg)
 
 
 def _frequency_inners(gs: Sequence[np.ndarray], f: np.ndarray) -> np.ndarray:
@@ -269,48 +256,79 @@ def _frequency_inners(gs: Sequence[np.ndarray], f: np.ndarray) -> np.ndarray:
     return inners
 
 
-def _validate_mode_columns(mode_columns: Sequence[np.ndarray]) -> None:
-    """Require the per-frequency Gram matrix of the mode columns to be the identity."""
-    n = len(mode_columns)
-    gram = np.stack([_frequency_inners(mode_columns, column) for column in mode_columns],
-                    axis=1)
-    gram -= np.eye(n, dtype=np.complex128)[:, :, None]
-    worst = float(np.abs(gram).max())
-    if worst > _MODE_ORTHONORMALITY_TOL:
-        raise ModePreconditionError(
-            f"mode columns deviate from per-frequency orthonormality by {worst:.3e}"
-        )
+class ModeSpan:
+    """Modes whose B-transform columns are orthonormal at every frequency.
+
+    That is the deflated projection's precondition: each mode is shift
+    orthogonal and perpendicular to every shift of the others.  :meth:`add`
+    transforms a mode once and checks its row of the (Hermitian)
+    per-frequency Gram matrix; ``max_shift_inner``, the largest
+    ``|<g, S(s) f>|`` over pairs of modes and shifts, is read off the rows.
+    """
+
+    def __init__(self, domain: LatticeDomain, modes: Sequence[CoeffTensor] = ()):
+        self.domain = domain
+        self.columns: list[np.ndarray] = []  # depth_count x shift_count per mode
+        self.max_shift_inner = 0.0
+        for mode in modes:
+            self.add(mode)
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def _transform(self, mode: CoeffTensor) -> np.ndarray:
+        if mode.domain != self.domain:
+            raise DomainMismatchError("mode domain does not match the span domain")
+        return b_transform(mode).columns
+
+    @classmethod
+    def _trusted(cls, domain: LatticeDomain, modes: Sequence[CoeffTensor]) -> ModeSpan:
+        span = cls(domain)
+        span.columns = [span._transform(mode) for mode in modes]
+        return span
+
+    def add(self, mode: CoeffTensor) -> None:
+        """Append ``mode``; a rejected mode leaves the span unchanged."""
+        new = self._transform(mode)
+        row = _frequency_inners(self.columns + [new], new)
+        row[-1] -= 1.0
+        worst = float(np.abs(row).max())
+        if worst > _MODE_ORTHONORMALITY_TOL:
+            raise ModePreconditionError(
+                f"mode columns deviate from per-frequency orthonormality by {worst:.3e}")
+        for inner in row[:-1]:
+            shift_inners = np.fft.ifftn(inner.reshape(self.domain.shifts))
+            self.max_shift_inner = max(self.max_shift_inner, float(np.abs(shift_inners).max()))
+        self.columns.append(new)
 
 
 def project_sso_orth(
     b: CoeffTensor,
-    modes: Sequence[CoeffTensor],
+    modes: ModeSpan | Sequence[CoeffTensor],
     cfg: ProjectionConfig = DEFAULT_CONFIG,
     validate: bool = False,
 ) -> CoeffTensor:
     """Project onto shift-orthogonal tensors perpendicular to all ``modes``.
 
-    ``modes`` must be individually shift-orthogonal and mutually
-    shift-perpendicular, so their transformed columns are orthonormal per
-    frequency; pass ``validate=True`` to check that (costs
-    ``O(n^2 * depth_count * shift_count)``).  Every call transforms every
-    mode.
+    Against a :class:`ModeSpan` only ``b`` is transformed.  A plain
+    sequence of modes is transformed on every call and checked, by
+    building a span, only with ``validate=True``: unchecked stays the
+    default for callers that trust their modes and time the projection.
     """
     domain = b.domain
-    if len(modes) == 0:
-        return project_sso(b, cfg)
     if len(modes) >= domain.depth_count:
         raise InfeasibleDeflationError(
             f"{len(modes)} modes leave no unit vector in {domain.depth_count} depth dimensions"
         )
-    mode_columns = []
-    for mode in modes:
-        if mode.domain != domain:
-            raise DomainMismatchError("mode domain does not match input domain")
-        mode_columns.append(b_transform(mode).columns)
-    if validate:
-        _validate_mode_columns(mode_columns)
-    return _project(b, cfg, mode_columns)
+    if not isinstance(modes, ModeSpan):
+        modes = ModeSpan(domain, modes) if validate else ModeSpan._trusted(domain, modes)
+    elif modes.domain != domain:
+        raise DomainMismatchError("mode span domain does not match input domain")
+    # The kernel and the inverse transform both work in place on the fresh
+    # forward transform.
+    p = b_transform(b)
+    project_columns(p.columns, domain, cfg, modes.columns)
+    return _b_inverse_in_place(p)
 
 
 def is_shift_orthogonal(v: CoeffTensor, tol: float = 1e-10) -> SsoReport:

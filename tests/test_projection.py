@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 from shiftortho import (
     CoeffTensor,
     CpwConfig,
+    DomainMismatchError,
     FallbackVector,
     InfeasibleDeflationError,
     LatticeDomain,
     ModePreconditionError,
+    ModeSpan,
     ProjectionConfig,
     SopwBasis1D,
+    b_inverse,
     b_transform,
     check_shift_perpendicular,
     is_shift_orthogonal,
@@ -120,12 +123,17 @@ def _split_columns(monkeypatch, width):
     monkeypatch.setattr(projection, "_MIN_BLOCK_COLUMNS", width)
 
 
-def _deflation_columns(dom, rng, count=2):
-    """Transform columns of ``count`` mutually shift-perpendicular modes."""
+def _deflation_modes(dom, rng, count=2):
+    """``count`` mutually shift-perpendicular shift-orthogonal modes."""
     modes = []
     for _ in range(count):
         modes.append(project_sso_orth(random_tensor(dom, rng), modes))
-    return [b_transform(mode).columns for mode in modes]
+    return modes
+
+
+def _deflation_columns(dom, rng, count=2):
+    """Transform columns of ``count`` mutually shift-perpendicular modes."""
+    return [b_transform(mode).columns for mode in _deflation_modes(dom, rng, count)]
 
 
 class _Submitted(Exception):
@@ -236,15 +244,28 @@ class TestColumnBlocks:
                 assert np.array_equal(out[:, j], np.full(4, 0.5, dtype=complex))
 
     def test_mode_validation_across_blocks(self, monkeypatch):
+        # A squared column norm off by half or twice the tolerance, in the
+        # last of five column blocks: the first is accepted, the second
+        # rejected without touching the span.
         _split_columns(monkeypatch, 8)
         rng = np.random.default_rng(24)
         dom = LatticeDomain((40,), (4,))
-        mode_columns = _deflation_columns(dom, rng)
-        projection._validate_mode_columns(mode_columns)
-        mode_columns[1] = mode_columns[1].copy()
-        mode_columns[1][:, 37] *= 1.0 + 1e-6
-        with pytest.raises(ModePreconditionError):
-            projection._validate_mode_columns(mode_columns)
+        first, second = _deflation_modes(dom, rng)
+        for factor, accepted in ((0.5, True), (2.0, False)):
+            span = ModeSpan(dom)
+            span.add(first)
+            kept_columns = [columns.copy() for columns in span.columns]
+            kept_inner = span.max_shift_inner
+            p = b_transform(second)
+            p.columns[:, 37] *= math.sqrt(1.0 + factor * projection._MODE_ORTHONORMALITY_TOL)
+            if accepted:
+                span.add(b_inverse(p))
+                assert len(span) == 2
+                continue
+            with pytest.raises(ModePreconditionError):
+                span.add(b_inverse(p))
+            assert len(span) == 1 and span.max_shift_inner == kept_inner
+            assert all(np.array_equal(a, b) for a, b in zip(span.columns, kept_columns))
 
     def test_single_block_calls_stay_on_caller_thread(self, monkeypatch):
         # Below the split size neither FFT passes nor kernel blocks submit.
@@ -463,6 +484,75 @@ class TestProjectSsoOrth:
             modes.append(project_sso_orth(random_tensor(dom, rng), modes))
         with pytest.raises(InfeasibleDeflationError):
             project_sso_orth(random_tensor(dom, rng), modes)
+
+    def test_span_add_checks_one_gram_row(self, monkeypatch):
+        # The k-th insertion transforms only the new mode and computes the
+        # k inner-product rows of its Gram row, not the whole k x k Gram.
+        rng = np.random.default_rng(30)
+        dom = LatticeDomain((6,), (4,))
+        modes = _deflation_modes(dom, rng, 3)
+        transforms, rows = [], []
+        original_transform = projection.b_transform
+        original_inners = projection._frequency_inners
+
+        def counted_transform(v):
+            transforms.append(1)
+            return original_transform(v)
+
+        def counted_inners(gs, f):
+            rows.append(len(gs))
+            return original_inners(gs, f)
+
+        monkeypatch.setattr(projection, "b_transform", counted_transform)
+        monkeypatch.setattr(projection, "_frequency_inners", counted_inners)
+        span = ModeSpan(dom)
+        for k, mode in enumerate(modes, start=1):
+            span.add(mode)
+            assert len(transforms) == k
+            assert rows[-1] == k
+        assert sum(rows) == 1 + 2 + 3
+
+    def test_span_projection_transforms_only_input(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        dom = LatticeDomain((4, 3), (2, 2))
+        modes = _deflation_modes(dom, rng, 2)
+        b = random_tensor(dom, rng)
+        expected = project_sso_orth(b, modes)
+        span = ModeSpan(dom, modes)
+        transforms = []
+        original = projection.b_transform
+
+        def counted(v):
+            transforms.append(v)
+            return original(v)
+
+        monkeypatch.setattr(projection, "b_transform", counted)
+        out = project_sso_orth(b, span)
+        assert len(transforms) == 1 and transforms[0] is b
+        assert np.array_equal(out.data, expected.data)
+
+    def test_span_on_another_domain_rejected(self):
+        rng = np.random.default_rng(32)
+        dom = LatticeDomain((4,), (3,))
+        span = ModeSpan(LatticeDomain((6,), (2,)))
+        with pytest.raises(DomainMismatchError):
+            project_sso_orth(random_tensor(dom, rng), span)
+        span.add(project_sso(random_tensor(span.domain, rng)))
+        with pytest.raises(DomainMismatchError):
+            project_sso_orth(random_tensor(dom, rng), span)
+        with pytest.raises(DomainMismatchError):
+            span.add(project_sso(random_tensor(dom, rng)))
+
+    def test_span_max_shift_inner_matches_pairwise_check(self):
+        rng = np.random.default_rng(33)
+        for shifts, depths in (((8,), (4,)), ((4, 3), (2, 2))):
+            dom = LatticeDomain(shifts, depths)
+            modes = _deflation_modes(dom, rng, 3)
+            assert ModeSpan(dom).max_shift_inner == 0.0
+            span = ModeSpan(dom, modes)
+            expected = max(check_shift_perpendicular(modes[a], modes[b]).max_shift_inner
+                           for a in range(3) for b in range(a + 1, 3))
+            assert span.max_shift_inner == expected
 
     def test_mode_precondition_validation(self):
         rng = np.random.default_rng(14)
