@@ -18,7 +18,7 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .projection import (
 from .sopw import (
     AliasingError,
     SopwBasis1D,
+    band_slots,
     sopw_fourier_coeffs,
     synthesize_grid,
     verify_variational_certificate,
@@ -149,31 +150,12 @@ def write_svg(path, panels) -> None:
 # Scaling bench
 
 
-@dataclass
-class BenchRow:
-    size: int
-    shifts: int
-    depths: int
-    median_seconds: float
-    repeats: int
-    fitted_residual: float
-
-
-@dataclass
-class BenchSection:
-    label: str
-    rows: list
-    fitted_constant: float
-    max_doubling_ratio: float
-    ratio_ok: bool
-
-
 _MIN_SAMPLE_SECONDS = 3e-3
 # Fixed depth count while the shifts double, fixed shift count vice versa.
 _BENCH_DEPTHS, _BENCH_SHIFTS = 16, 64
 
 
-def _bench_section(label, domains, repeats, rng) -> BenchSection:
+def _bench_section(label, domains, repeats, rng) -> dict:
     # Round-robin over sizes: consecutive same-size repeats would fold CPU
     # frequency drift into the doubling ratios.  Small sizes are batched so
     # every sample is a few milliseconds, keeping scheduler noise bounded.
@@ -201,38 +183,29 @@ def _bench_section(label, domains, repeats, rng) -> BenchSection:
     finally:
         if gc_was_enabled:
             gc.enable()
-    rows = []
-    for domain, times in zip(domains, samples):
-        rows.append(
-            BenchRow(
-                size=domain.size,
-                shifts=domain.shift_count,
-                depths=domain.depth_count,
-                median_seconds=float(statistics.median(times)),
-                repeats=repeats,
-                fitted_residual=0.0,
-            )
-        )
+    medians = [float(statistics.median(times)) for times in samples]
     # Least-squares fit of t = c * M * log(shift_count).
-    predictor = np.array(
-        [row.size * math.log(row.shifts) for row in rows], dtype=float
-    )
-    times = np.array([row.median_seconds for row in rows])
-    constant = float(predictor @ times / (predictor @ predictor))
-    for row, pred in zip(rows, predictor):
-        row.fitted_residual = float(row.median_seconds - constant * pred)
-    ratios = [
-        rows[i + 1].median_seconds / rows[i].median_seconds
-        for i in range(len(rows) - 1)
-    ]
+    predictor = np.array([d.size * math.log(d.shift_count) for d in domains])
+    constant = float(predictor @ np.array(medians) / (predictor @ predictor))
+    ratios = [after / before for before, after in zip(medians, medians[1:])]
     max_ratio = max(ratios) if ratios else 0.0
-    return BenchSection(
-        label=label,
-        rows=rows,
-        fitted_constant=constant,
-        max_doubling_ratio=max_ratio,
-        ratio_ok=max_ratio <= DOUBLING_RATIO_BOUND,
-    )
+    return {
+        "label": label,
+        "fitted_constant": constant,
+        "max_doubling_ratio": max_ratio,
+        "ratio_ok": max_ratio <= DOUBLING_RATIO_BOUND,
+        "rows": [
+            {
+                "size": domain.size,
+                "shifts": domain.shift_count,
+                "depths": domain.depth_count,
+                "median_seconds": median,
+                "repeats": repeats,
+                "fitted_residual": float(median - constant * pred),
+            }
+            for domain, median, pred in zip(domains, medians, predictor)
+        ],
+    }
 
 
 def run_bench(min_exp: int, max_exp: int, repeats: int, seed: int = 0) -> dict:
@@ -270,17 +243,8 @@ def run_bench(min_exp: int, max_exp: int, repeats: int, seed: int = 0) -> dict:
             for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
             if key in os.environ
         },
-        "sections": [
-            {
-                "label": section.label,
-                "fitted_constant": section.fitted_constant,
-                "max_doubling_ratio": section.max_doubling_ratio,
-                "ratio_ok": section.ratio_ok,
-                "rows": [asdict(row) for row in section.rows],
-            }
-            for section in sections
-        ],
-        "all_ratios_ok": all(section.ratio_ok for section in sections),
+        "sections": sections,
+        "all_ratios_ok": all(section["ratio_ok"] for section in sections),
     }
 
 
@@ -331,6 +295,8 @@ def cmd_project(args) -> int:
 def cmd_sopw(args) -> int:
     basis = SopwBasis1D(args.L, args.N)
     depths = args.depths or list(range(1, min(6, basis.depth_cap) + 1))
+    if min(depths) < 1:
+        raise ValueError(f"requested depth {min(depths)} below 1")
     if max(depths) > basis.depth_cap:
         raise ValueError(
             f"requested depth {max(depths)} exceeds depth cap {basis.depth_cap}"
@@ -338,6 +304,8 @@ def cmd_sopw(args) -> int:
     shift_idx = args.shift if args.shift is not None else basis.num_shifts // 2
     if not 0 <= shift_idx < basis.num_shifts:
         raise ValueError(f"shift {shift_idx} outside 0..{basis.num_shifts - 1}")
+    if args.plot:
+        band_slots(basis, args.grid)  # AliasingError before any file is written
 
     written = {}
     if args.table:
@@ -376,6 +344,8 @@ def cmd_sopw(args) -> int:
 
 def cmd_cpw(args) -> int:
     basis = SopwBasis1D(args.L, args.N)
+    if args.modes < 1:
+        raise ValueError(f"mode count {args.modes} below 1")
     if args.modes > basis.depth_cap:
         raise InfeasibleDeflationError(
             f"{args.modes} modes exceed {basis.depth_cap} depth dimensions"
@@ -390,6 +360,7 @@ def cmd_cpw(args) -> int:
         init=args.init,
         seed=args.seed,
     )
+    band_slots(basis, args.grid)  # AliasingError before any file is written
     os.makedirs(args.outdir, exist_ok=True)
     mode_set = CpwModeSet(basis)
     period = float(basis.num_shifts)
@@ -429,11 +400,7 @@ def cmd_cpw(args) -> int:
         )
 
     panels = [
-        {
-            "x": x,
-            "y": mode.samples,
-            "title": f"mode {index + 1}",
-        }
+        {"x": x, "y": mode.samples, "title": f"mode {index + 1}"}
         for index, mode in enumerate(mode_set.modes)
     ]
     figure_path = os.path.join(args.outdir, "modes.svg")
@@ -500,11 +467,8 @@ def cmd_bench(args) -> int:
             },
             "all_ratios_ok": report["all_ratios_ok"],
             "sections": [
-                {
-                    "label": section["label"],
-                    "max_doubling_ratio": section["max_doubling_ratio"],
-                    "fitted_constant": section["fitted_constant"],
-                }
+                {key: section[key]
+                 for key in ("label", "max_doubling_ratio", "fitted_constant")}
                 for section in report["sections"]
             ],
         }
@@ -513,7 +477,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    basis = SopwBasis1D(args.L, max(1, args.N))
+    basis = SopwBasis1D(args.L, args.N)
     report = verify_variational_certificate(basis, tail_periods=args.tail_periods)
     payload = asdict(report)
     payload["all_passed"] = report.all_passed

@@ -36,10 +36,6 @@ class CoeffFileError(ValueError):
         self.row = row
 
 
-def _format(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def format_rows(template: str, table: np.ndarray) -> str:
     """Apply a one-row ``%`` template to every row of a 2D table at once."""
     return (template * len(table)) % tuple(table.ravel().tolist())
@@ -227,14 +223,11 @@ def write_sopw_table(path, basis, table) -> None:
         "L": basis.num_shifts,
         "N": basis.depth_cap,
     }
-    lines = [json.dumps(payload, sort_keys=True, separators=(", ", ": "))]
-    for (depth, shift_idx), entries in table:
-        for mode, value in entries:
-            lines.append(
-                ",".join(
-                    [str(depth), str(shift_idx), str(mode),
-                     _format(value.real), _format(value.imag)]
-                )
-            )
+    rows = [
+        (depth, shift_idx, mode, value.real, value.imag)
+        for (depth, shift_idx), entries in table
+        for mode, value in entries
+    ]
     with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(json.dumps(payload, sort_keys=True, separators=(", ", ": ")) + "\n")
+        handle.write(format_rows("%d,%d,%d,%.17g,%.17g\n", np.array(rows, dtype=object)))

@@ -101,6 +101,8 @@ class CpwConfig:
             raise ValueError("max_iter must be >= 1")
         if self.init not in ("gaussian", "random"):
             raise ValueError("init must be 'gaussian' or 'random'")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def resolve(self, basis: SopwBasis1D, num_prior_modes: int = 0):
         """Concrete (mu, lam, r, grid_size) for a basis and deflation depth."""
@@ -138,7 +140,6 @@ class CpwModeSet:
     """Solved modes on a basis; their :class:`ModeSpan` checks each one added."""
 
     def __init__(self, basis: SopwBasis1D):
-        self.basis = basis
         self.span = ModeSpan(basis.domain)
         self.modes: list[CpwMode] = []
 

@@ -78,6 +78,14 @@ def _sign_i_pow(n: int, p: int) -> complex:
     return w if n >= 0 else w.conjugate()
 
 
+def _check_element(k: int, j: int, basis: SopwBasis1D) -> None:
+    """Reject a depth below 1 or a shift outside ``0..L-1``."""
+    if k < 1:
+        raise ValueError("depth must be >= 1")
+    if not 0 <= j < basis.num_shifts:
+        raise ValueError(f"shift {j} outside 0..{basis.num_shifts - 1}")
+
+
 def sopw_fourier_coeffs(k: int, j: int, basis: SopwBasis1D):
     """Sparse Fourier coefficients of basis element (depth ``k``, shift ``j``).
 
@@ -87,11 +95,10 @@ def sopw_fourier_coeffs(k: int, j: int, basis: SopwBasis1D):
     ``1/sqrt(2L)``.  Depths up to ``depth_cap + 1`` are available so the
     shell just above the cap can be tabulated.
     """
-    num_shifts = basis.num_shifts
     if not 1 <= k <= basis.depth_cap + 1:
         raise ValueError(f"depth {k} outside 1..{basis.depth_cap + 1}")
-    if not 0 <= j < num_shifts:
-        raise ValueError(f"shift {j} outside 0..{num_shifts - 1}")
+    _check_element(k, j, basis)
+    num_shifts = basis.num_shifts
     half = num_shifts // 2
     interior_weight = 1.0 / math.sqrt(num_shifts)
     edge_weight = 1.0 / math.sqrt(2 * num_shifts)
@@ -256,11 +263,8 @@ def eval_closed_form(k: int, j: int, x: float, basis: SopwBasis1D) -> float:
     the kernel ratio at lattice points is replaced by its limit.  ``x``
     outside one period is reduced by periodicity.
     """
+    _check_element(k, j, basis)
     num_shifts = basis.num_shifts
-    if k < 1:
-        raise ValueError("depth must be >= 1")
-    if not 0 <= j < num_shifts:
-        raise ValueError(f"shift {j} outside 0..{num_shifts - 1}")
     s = (float(x) - j) % num_shifts
     if s >= num_shifts / 2:
         s -= num_shifts
@@ -343,11 +347,8 @@ class DerivativeStencil:
 
 def first_derivative_stencil(k: int, ell: int, basis: SopwBasis1D) -> DerivativeStencil:
     """Expansion coefficients of the first derivative of element (k, ell)."""
+    _check_element(k, ell, basis)
     num_shifts = basis.num_shifts
-    if k < 1:
-        raise ValueError("depth must be >= 1")
-    if not 0 <= ell < num_shifts:
-        raise ValueError(f"shift {ell} outside 0..{num_shifts - 1}")
     offsets = (np.arange(num_shifts) - ell) % num_shifts
     prefactor = math.pi / num_shifts
     prev = -prefactor * (k - 1) * (-1.0) ** ((k - 1) * offsets)
@@ -363,11 +364,8 @@ def first_derivative_stencil(k: int, ell: int, basis: SopwBasis1D) -> Derivative
 
 def second_derivative_stencil(k: int, ell: int, basis: SopwBasis1D) -> DerivativeStencil:
     """Expansion coefficients of the second derivative of element (k, ell)."""
+    _check_element(k, ell, basis)
     num_shifts = basis.num_shifts
-    if k < 1:
-        raise ValueError("depth must be >= 1")
-    if not 0 <= ell < num_shifts:
-        raise ValueError(f"shift {ell} outside 0..{num_shifts - 1}")
     offsets = (np.arange(num_shifts) - ell) % num_shifts
     b_values = np.empty(num_shifts)
     nonzero = offsets != 0
@@ -388,11 +386,8 @@ def shell_moment_sums(k: int, j: int, basis: SopwBasis1D):
     Returns ``(S1, S2)`` with ``S1 = sum n w^n`` and ``S2 = sum n^2 w^n``
     over ``(k-1)L/2 < |n| < kL/2``, ``w`` the ``j``-th root of unity.
     """
+    _check_element(k, j, basis)
     num_shifts = basis.num_shifts
-    if k < 1:
-        raise ValueError("depth must be >= 1")
-    if not 0 <= j < num_shifts:
-        raise ValueError(f"shift {j} outside 0..{num_shifts - 1}")
     length = float(num_shifts)
     if j == 0:
         s1 = 0.0 + 0.0j

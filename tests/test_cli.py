@@ -420,6 +420,18 @@ class TestSopwCommand:
         assert code == 2
         assert "even" in captured.err
 
+    @pytest.mark.parametrize("extra", [
+        ("--depths", "0"),
+        ("--plot", "fig.svg", "--grid", "10"),  # below Nyquist for L=8, N=6
+    ])
+    def test_bad_argument_writes_no_table(self, tmp_path, capsys, monkeypatch, extra):
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run_cli(
+            capsys, "sopw", "--L", "8", "--N", "6", "--table", "t.csv", *extra
+        )
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCpwCommand:
     def test_small_run_artifacts(self, tmp_path, capsys):
@@ -486,6 +498,20 @@ class TestCpwCommand:
         assert (outdir / "mode1_samples.csv").exists()
         assert (outdir / "timings.csv").exists()
 
+    @pytest.mark.parametrize("extra", [
+        ("--modes", "0"),
+        ("--modes", "-1"),
+        ("--grid", "16"),  # below Nyquist for L=8, N=4
+        ("--init", "random", "--seed", "-1"),
+    ])
+    def test_bad_argument_creates_no_outdir(self, tmp_path, capsys, extra):
+        outdir = tmp_path / "run"
+        code, _, _ = run_cli(
+            capsys, "cpw", "--L", "8", "--N", "4", "--outdir", str(outdir), *extra
+        )
+        assert code == 2
+        assert not outdir.exists()
+
     def test_infeasible_mode_count_exit_2(self, tmp_path, capsys):
         code, _, _ = run_cli(
             capsys, "cpw", "--L", "8", "--N", "2", "--modes", "3",
@@ -533,10 +559,43 @@ class TestBenchCommand:
         assert {s["label"] for s in report["sections"]} == {
             "shift-scaling", "depth-scaling",
         }
+        assert set(report) == {
+            "repeats", "seed", "ratio_bound", "cpu_count", "thread_env",
+            "sections", "all_ratios_ok",
+        }
         for section in report["sections"]:
-            sizes = [row["size"] for row in section["rows"]]
+            assert set(section) == {
+                "label", "fitted_constant", "max_doubling_ratio", "ratio_ok", "rows",
+            }
+            rows = section["rows"]
+            sizes = [row["size"] for row in rows]
             assert sizes == sorted(sizes)
-            assert all(row["repeats"] == 1 for row in section["rows"])
+            assert all(row["repeats"] == 1 for row in rows)
+            constant = section["fitted_constant"]
+            for row in rows:
+                assert set(row) == {
+                    "size", "shifts", "depths", "median_seconds", "repeats",
+                    "fitted_residual",
+                }
+                assert row["size"] == row["shifts"] * row["depths"]
+                predicted = constant * row["size"] * np.log(row["shifts"])
+                assert row["fitted_residual"] == pytest.approx(
+                    row["median_seconds"] - predicted, rel=1e-12, abs=1e-15
+                )
+            medians = [row["median_seconds"] for row in rows]
+            ratios = [b / a for a, b in zip(medians, medians[1:])]
+            assert section["max_doubling_ratio"] == pytest.approx(max(ratios), rel=1e-15)
+            assert section["ratio_ok"] == (
+                section["max_doubling_ratio"] <= report["ratio_bound"]
+            )
+        assert status["sections"] == [
+            {key: section[key]
+             for key in ("label", "max_doubling_ratio", "fitted_constant")}
+            for section in report["sections"]
+        ]
+        assert report["all_ratios_ok"] == status["all_ratios_ok"] == all(
+            section["ratio_ok"] for section in report["sections"]
+        )
 
 
 class TestCertifyCommand:
@@ -548,6 +607,12 @@ class TestCertifyCommand:
     def test_odd_shift_count(self, capsys):
         code, _, _ = run_cli(capsys, "certify", "--L", "5")
         assert code == 2
+
+    @pytest.mark.parametrize("depth_cap", ["0", "-1"])
+    def test_depth_cap_below_one_exit_2(self, capsys, depth_cap):
+        code, _, captured = run_cli(capsys, "certify", "--L", "4", "--N", depth_cap)
+        assert code == 2
+        assert "depth cap" in captured.err
 
 
 class TestUsage:
@@ -606,3 +671,37 @@ class TestStartUp:
                     if line.startswith("import time:")]
         assert "shiftortho.cli" in imported
         assert [name for name in imported if name.split(".")[0] == "scipy"] == []
+
+
+class TestWithoutScipy:
+    """The library and the CLI run in a process where scipy cannot be imported."""
+
+    RUN = (
+        "import contextlib, io, sys\n"
+        "class RefuseScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, RefuseScipy())\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import numpy as np\n"
+        "import shiftortho as so\n"
+        "from shiftortho import cli\n"
+        "rng = np.random.default_rng(0)\n"
+        "domain = so.LatticeDomain((8,), (3,))\n"
+        "mode = so.project_sso(so.random_tensor(domain, rng))\n"
+        "out = so.project_sso_orth(so.random_tensor(domain, rng), so.ModeSpan(domain, [mode]))\n"
+        "if not so.is_shift_orthogonal(out).is_member:\n"
+        "    sys.exit('deflated projection is not shift orthogonal')\n"
+        "so.solve_cpw_mode(None, so.CpwConfig(max_iter=3, grid_size=64), so.SopwBasis1D(4, 2))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['certify', '--L', '4'])\n"
+        "sys.exit(code)\n"
+    )
+
+    def test_library_and_cli_run_with_scipy_blocked(self):
+        result = subprocess.run(
+            [sys.executable, "-c", self.RUN, TestStartUp.SRC],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
