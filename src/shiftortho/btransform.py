@@ -7,7 +7,15 @@ FFT (``norm="forward"``) rather than in a separate pass.  The pair
 block-diagonalizes every cyclic shift correlation into independent
 per-frequency columns, which is what makes the fast projection possible.
 Any shift count is supported; the FFT backend handles non power-of-two
-lengths.
+lengths.  :func:`b_transform` and :func:`b_inverse` return complex
+tensors, for real inputs too.
+
+For a real tensor the columns at frequencies ``j`` and ``-j`` are complex
+conjugates, so half of them determine the rest.  The private pair
+:func:`_half_transform` / :func:`_half_inverse` keeps only that half:
+``rfft`` along the last shift axis and ``fft`` along the others, then
+``ifft`` and ``irfft`` back to a real tensor, about half the work and
+memory of the complex pair.  The projection runs real inputs through it.
 
 The transforms run on ``numpy.fft`` as one 1-D pass per shift axis, the
 last axis first as ``numpy.fft.fftn`` orders them, each pass writing the
@@ -23,13 +31,15 @@ way whatever the split, so the result does not depend on it.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import CoeffTensor
+from .lattice import CoeffTensor, LatticeDomain
 
 _WORKERS = os.cpu_count() or 1
 
@@ -74,36 +84,39 @@ def _split(length: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _shift_passes(fft: Callable, src: np.ndarray, out: np.ndarray) -> None:
-    """Apply the 1-D ``fft`` over every shift axis of ``src``, writing ``out``.
+def _shift_passes(steps: Sequence[tuple], size: int) -> None:
+    """Run every ``(fft, axis, src, dst)`` step: the 1-D ``fft`` along ``axis``.
 
-    Both are shaped ``(depth_count,) + shifts``; ``out`` may be ``src``.
+    Arrays are shaped ``(depth_count,) + ...``, and a step's ``src`` and
+    ``dst`` agree on every axis but its own; ``dst`` may be ``src``.
+    ``size``, the tensor's coefficient count, picks the split.
     """
-    axes = range(src.ndim - 1, 0, -1)
+    def run(part_steps, part) -> None:
+        for fft, axis, src, dst in part_steps:
+            fft(src[part], axis=axis, out=dst[part])
 
-    def passes(part) -> None:
-        x = src[part]
-        for axis in axes:
-            fft(x, axis=axis, norm="forward", out=out[part])
-            x = out[part]
-
-    if src.size < _SPLIT_COEFFS:
-        passes(())
-    elif src.shape[0] >= _WORKERS:
-        _run_parts(passes, _split(src.shape[0]))
+    depth_count = steps[0][2].shape[0]
+    if size < _SPLIT_COEFFS:
+        run(steps, ())
+    elif depth_count >= _WORKERS:
+        _run_parts(partial(run, steps), _split(depth_count))
     else:
-        for axis in axes:
-            others = [a for a in axes if a != axis and src.shape[a] >= _WORKERS]
+        for step in steps:
+            _, axis, src, _ = step
+            others = [a for a in range(src.ndim - 1, 0, -1)
+                      if a != axis and src.shape[a] >= _WORKERS]
             parts = [()]
             if others:
                 split = max(others, key=src.shape.__getitem__)
                 parts = [(slice(None),) * split + (part,) for part in _split(src.shape[split])]
+            _run_parts(partial(run, [step]), parts)
 
-            def one_pass(part) -> None:
-                fft(src[part], axis=axis, norm="forward", out=out[part])
 
-            _run_parts(one_pass, parts)
-            src = out
+def _complex_steps(fft: Callable, src: np.ndarray, out: np.ndarray) -> list[tuple]:
+    """Steps of ``fft`` (``norm="forward"``) over every shift axis, last first, into ``out``."""
+    fft = partial(fft, norm="forward")
+    last = src.ndim - 1
+    return [(fft, axis, src if axis == last else out, out) for axis in range(last, 0, -1)]
 
 
 def _slab_view(t: CoeffTensor) -> np.ndarray:
@@ -114,16 +127,16 @@ def _slab_view(t: CoeffTensor) -> np.ndarray:
 def b_transform(v: CoeffTensor) -> CoeffTensor:
     """Forward transform: ``out(i; j) = sum_l exp(+2*pi*i j.l / L) v(i; l)``."""
     src = _slab_view(v)
-    out = np.empty_like(src)
-    _shift_passes(np.fft.ifft, src, out)
+    out = np.empty(src.shape, dtype=np.complex128)
+    _shift_passes(_complex_steps(np.fft.ifft, src, out), v.domain.size)
     return CoeffTensor._trusted(v.domain, out)
 
 
 def b_inverse(p: CoeffTensor) -> CoeffTensor:
     """Inverse transform; ``b_inverse(b_transform(v)) == v`` up to rounding."""
     src = _slab_view(p)
-    out = np.empty_like(src)
-    _shift_passes(np.fft.fft, src, out)
+    out = np.empty(src.shape, dtype=np.complex128)
+    _shift_passes(_complex_steps(np.fft.fft, src, out), p.domain.size)
     return CoeffTensor._trusted(p.domain, out)
 
 
@@ -135,5 +148,52 @@ def _b_inverse_in_place(p: CoeffTensor) -> CoeffTensor:
     7-10 ms per 2^20-coefficient projection on a 2-CPU Xeon VM.
     """
     src = _slab_view(p)
-    _shift_passes(np.fft.fft, src, src)
+    _shift_passes(_complex_steps(np.fft.fft, src, src), p.domain.size)
     return p
+
+
+def _half_transform(v: CoeffTensor) -> np.ndarray:
+    """Conjugated B-transform columns of a real ``v`` with last shift index ``<= L // 2``.
+
+    ``rfft`` along the last shift axis, then ``fft`` along the others: both
+    have the negative sign, so this is the conjugate of the B-transform's
+    half spectrum, shaped ``(depth_count,) + shifts[:-1] + (L // 2 + 1,)``.
+    For real ``v`` the other columns are conjugates of these: the columns
+    at ``j`` and ``-j`` are twins with equal norms.
+    """
+    src = _slab_view(v)
+    last = src.ndim - 1
+    out = np.empty(src.shape[:-1] + (src.shape[-1] // 2 + 1,), dtype=np.complex128)
+    steps = [(np.fft.rfft, last, src, out)]
+    steps += [(np.fft.fft, axis, out, out) for axis in range(last - 1, 0, -1)]
+    _shift_passes(steps, v.domain.size)
+    return out
+
+
+def _half_inverse(half: np.ndarray, domain: LatticeDomain) -> CoeffTensor:
+    """The real tensor whose :func:`_half_transform` is ``half``, which it overwrites.
+
+    With two or more shift axes, the planes of last shift index 0 and
+    ``L // 2`` (even ``L``) hold both twins of their columns.  The later
+    twin of each pair is first set to the conjugate of the earlier, so
+    twins that the kernel treated apart (one scaled, one at the fallback)
+    give the earlier column's tensor rather than their average, no
+    member.  Then come the ``ifft`` passes, in place, and ``irfft`` with
+    the explicit last shift count, so odd counts keep their length.
+    """
+    last = half.ndim - 1
+    if last > 1:
+        others, count = domain.shifts[:-1], domain.shifts[-1]
+        axes = tuple(range(1, last))
+        order = np.arange(math.prod(others)).reshape(others)
+        later = np.roll(np.flip(order), 1, axis=tuple(range(last - 1))) < order
+        for index in (0, count // 2) if count % 2 == 0 else (0,):
+            plane = half[..., index]
+            twins = np.roll(np.flip(plane, axes), 1, axes).conj()
+            plane[:, later] = twins[:, later]
+    out = np.empty((domain.depth_count,) + domain.shifts)
+    irfft = partial(np.fft.irfft, n=domain.shifts[-1])
+    steps = [(np.fft.ifft, axis, half, half) for axis in range(1, last)]
+    steps.append((irfft, last, half, out))
+    _shift_passes(steps, domain.size)
+    return CoeffTensor._trusted(domain, out)

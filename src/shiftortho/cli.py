@@ -219,6 +219,8 @@ def run_bench(min_exp: int, max_exp: int, repeats: int, seed: int = 0) -> dict:
         raise ValueError("min_exp must not exceed max_exp")
     if 1 << min_exp <= max(_BENCH_DEPTHS, _BENCH_SHIFTS):
         raise ValueError("exponent range too small for the fixed factors")
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     rng = np.random.default_rng(seed)
     exponents = range(min_exp, max_exp + 1)
     shift_scaling = [
@@ -445,7 +447,7 @@ def cmd_cpw(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.repeats < 5:
+    if 1 <= args.repeats < 5:  # run_bench rejects counts below 1
         print(
             f"warning: {args.repeats} repeats gives noisy medians; 5+ recommended",
             file=sys.stderr,
@@ -559,7 +561,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except CoeffFileError as exc:
+    except (CoeffFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (

@@ -155,6 +155,10 @@ def _bulk_values(body: list[str], domain: LatticeDomain, kind: str) -> np.ndarra
         or (kind == "real" and values[:, 1].any())
     ):
         return None
+    if not values[:, 1].any():  # CoeffTensor's rule: no nonzero imaginary part
+        data = np.empty(domain.size)
+        data[flat] = values[:, 0]
+        return data
     data = np.empty(domain.size, dtype=np.complex128)
     data.view(np.float64).reshape(-1, 2)[flat] = values
     return data
@@ -199,7 +203,9 @@ def read_coeff_file(path) -> CoeffTensor:
     """Parse a coefficient file, validating indices, coverage and finiteness.
 
     The body is parsed and checked as whole arrays; only when a check fails
-    are the rows walked one by one, to name the first bad file line.
+    are the rows walked one by one, to name the first bad file line.  The
+    tensor is real (float64) when every imaginary field is zero, whatever
+    the header's ``kind``.
     """
     lines = _read_lines(path)
     domain, kind = _read_header(lines[0])
@@ -211,7 +217,8 @@ def read_coeff_file(path) -> CoeffTensor:
     data = _bulk_values(body, domain, kind)
     if data is None:
         _raise_first_bad_row(lines, domain, kind)
-    # _bulk_values checked finiteness and built a fresh complex128 array.
+    # _bulk_values checked finiteness and built a fresh array of the
+    # tensor's dtype: float64 when every imaginary part is zero.
     return CoeffTensor._trusted(domain, data)
 
 

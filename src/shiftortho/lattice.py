@@ -1,9 +1,10 @@
 """Index geometry for coefficient tensors over periodic depth/shift lattices.
 
-A function expanded in a shift-orthogonal basis carries one complex
-coefficient per (depth, shift) multi-index pair.  This module fixes the
-canonical flat layout of those coefficients (depth axes outermost, shift
-axes innermost, each group row-major).
+A function expanded in a shift-orthogonal basis carries one coefficient
+per (depth, shift) multi-index pair.  This module fixes the canonical flat
+layout of those coefficients (depth axes outermost, shift axes innermost,
+each group row-major) and their storage: float64 when no coefficient has
+a nonzero imaginary part, complex128 otherwise.
 
 Depth indices are 1-based, shift indices are 0-based and cyclic; this
 matches the usual conventions for frequency shells and lattice translates.
@@ -78,17 +79,26 @@ class LatticeDomain:
 
 @dataclass
 class CoeffTensor:
-    """Complex coefficients over a :class:`LatticeDomain`.
+    """Coefficients over a :class:`LatticeDomain`.
 
     ``data`` is stored flat in the canonical layout; :attr:`grid` and
-    :attr:`columns` expose reshaped views of the same buffer.
+    :attr:`columns` expose reshaped views of the same buffer.  It is
+    float64 when no given value has a nonzero imaginary part (``-0.0``
+    counts as zero), else complex128: the rule by which a coefficient file
+    is written with ``kind: real``.  A real tensor's ``data`` takes no
+    complex values: numpy rejects a complex scalar and drops the
+    imaginary parts of a complex array, with a ``ComplexWarning``.
     """
 
     domain: LatticeDomain
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.ascontiguousarray(self.data, dtype=np.complex128).reshape(-1)
+        data = np.asarray(self.data)
+        if np.iscomplexobj(data) and not data.imag.any():
+            data = data.real
+        dtype = np.complex128 if np.iscomplexobj(data) else np.float64
+        data = np.ascontiguousarray(data, dtype=dtype).reshape(-1)
         if data.size != self.domain.size:
             raise ValueError(
                 f"expected {self.domain.size} coefficients, got {data.size}"
@@ -99,7 +109,7 @@ class CoeffTensor:
 
     @classmethod
     def zeros(cls, domain: LatticeDomain) -> "CoeffTensor":
-        return cls(domain, np.zeros(domain.size, dtype=np.complex128))
+        return cls(domain, np.zeros(domain.size))
 
     @classmethod
     def _trusted(cls, domain: LatticeDomain, data: np.ndarray) -> "CoeffTensor":

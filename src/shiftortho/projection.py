@@ -1,10 +1,12 @@
 """Fast L2 projection onto the set of shift-orthogonal coefficient vectors.
 
-Every projection takes one route: :func:`b_transform`, the per-column
-kernel :func:`project_columns`, then :func:`b_inverse`, the last two in
-the forward transform's buffer.  The kernel scales each per-frequency
-column to unit norm in place (a fixed real fallback replaces vanishing
-columns); given the transformed columns of earlier modes, held and
+Every projection runs the per-column kernel :func:`project_columns` on a
+fresh forward transform and transforms back in its buffer.  A real input
+without modes takes the half-spectrum pair of :mod:`btransform` (twin
+columns ``j`` and ``-j`` are conjugates, and the fallback is real); any
+other input takes :func:`b_transform` and :func:`b_inverse`.  The kernel
+scales each per-frequency column to unit norm in place (a fixed real
+fallback replaces vanishing columns); given the transformed columns of earlier modes, held and
 checked by a :class:`ModeSpan`, it first removes their span, so the
 result is also perpendicular to every shift of every mode.
 The kernel walks the columns in blocks of about 1 MiB (at least 256
@@ -25,7 +27,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .btransform import _SPLIT_COEFFS, _b_inverse_in_place, _run_parts, b_transform
+from .btransform import (
+    _SPLIT_COEFFS,
+    _b_inverse_in_place,
+    _half_inverse,
+    _half_transform,
+    _run_parts,
+    b_transform,
+)
 # Not called here, but kept importable from this module: perfbench/spans.py
 # rebinds this name here when it traces a run.
 from .btransform import b_inverse  # noqa: F401
@@ -211,16 +220,19 @@ def project_columns(columns: np.ndarray, domain: LatticeDomain,
                     ) -> np.ndarray:
     """Replace every B-transform column by its closest unit vector, in place.
 
-    ``columns`` is a C-contiguous ``depth_count x shift_count`` buffer on
-    the scale of :func:`b_transform` that the caller owns: it is
-    overwritten and returned.  With ``mode_columns`` (an ``n x depth_count
-    x shift_count`` array or a sequence of ``n`` such matrices, orthonormal
-    per frequency) each column first loses its component in the span of
-    the mode columns at its frequency (:func:`deflate_columns`).  Then
+    ``columns`` is a C-contiguous complex128 ``depth_count x shift_count``
+    buffer on the scale of :func:`b_transform` (or a real tensor's half
+    spectrum) that the caller owns: it is overwritten and returned.  With
+    ``mode_columns`` (an ``n x depth_count x shift_count`` array or a
+    sequence of ``n`` such matrices, orthonormal per frequency) each
+    column first loses its component in the span of the mode columns at
+    its frequency (:func:`deflate_columns`).  Then
     :func:`normalize_columns` scales it, or gives it a fallback if its norm
     is at most ``cfg.resolve_eps(domain)``.  Each column's result does not
     depend on how the columns are split into blocks.
     """
+    if columns.dtype != np.complex128:
+        raise TypeError(f"columns must be complex128, got {columns.dtype}")
     eps = cfg.resolve_eps(domain)
     modes = [] if mode_columns is None else list(mode_columns)
 
@@ -240,7 +252,7 @@ def project_sso(b: CoeffTensor, cfg: ProjectionConfig = DEFAULT_CONFIG) -> Coeff
 
     Equals the inverse B-transform of the forward transform with every
     column scaled to unit norm (vanishing columns take the configured
-    real fallback column).
+    real fallback column).  A real ``b`` gives a real result.
     """
     return project_sso_orth(b, (), cfg)
 
@@ -314,6 +326,8 @@ def project_sso_orth(
     sequence of modes is transformed on every call and checked, by
     building a span, only with ``validate=True``: unchecked stays the
     default for callers that trust their modes and time the projection.
+    A real ``b`` with no modes takes the half-spectrum route and gives a
+    real (float64) tensor; every other call gives a complex one.
     """
     domain = b.domain
     if len(modes) >= domain.depth_count:
@@ -325,7 +339,12 @@ def project_sso_orth(
     elif modes.domain != domain:
         raise DomainMismatchError("mode span domain does not match input domain")
     # The kernel and the inverse transform both work in place on the fresh
-    # forward transform.
+    # forward transform.  A span holds full columns, so modes need the
+    # complex route.
+    if not modes and not np.iscomplexobj(b.data):
+        half = _half_transform(b)
+        project_columns(half.reshape(domain.depth_count, -1), domain, cfg)
+        return _half_inverse(half, domain)
     p = b_transform(b)
     project_columns(p.columns, domain, cfg, modes.columns)
     return _b_inverse_in_place(p)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from shiftortho import CoeffTensor, LatticeDomain, b_inverse, b_transform, random_tensor
 from shiftortho import btransform
-from util import direct_b_inverse, direct_b_transform
+from util import direct_b_inverse, direct_b_transform, random_real_tensor
 
 
 def test_zero_maps_to_zero():
@@ -141,3 +141,72 @@ def test_split_passes_bitwise_equal_one_part(monkeypatch, shifts, depths, worker
         for axis in reversed(range(dom.d))
     ]
     assert splits == 4 * per_transform
+
+
+# Real tensors: the half-spectrum pair.  Shapes include odd last shift
+# counts (no Nyquist plane) and last counts of 1 and 2.
+HALF_SHAPES = [((5,), (3,)), ((8,), (2,)), ((1,), (4,)), ((2,), (3,)), ((9, 7), (3, 2)),
+               ((4, 6), (1, 2)), ((6, 5, 8), (2, 1, 2)), ((3, 4, 1), (2, 2, 1))]
+
+
+@pytest.mark.parametrize("shifts, depths", HALF_SHAPES)
+def test_half_transform_is_conjugate_half_spectrum(shifts, depths):
+    dom = LatticeDomain(shifts, depths)
+    v = random_real_tensor(dom, np.random.default_rng(41))
+    assert v.data.dtype == np.float64
+    half = btransform._half_transform(v)
+    full = b_transform(v).data.reshape((dom.depth_count,) + shifts)
+    assert half.shape == full.shape[:-1] + (shifts[-1] // 2 + 1,)
+    assert np.abs(half - full[..., : shifts[-1] // 2 + 1].conj()).max() <= 1e-12
+    back = btransform._half_inverse(half, dom)
+    assert back.data.dtype == np.float64
+    assert np.abs(back.data - v.data).max() <= 1e-14
+
+
+@pytest.mark.parametrize("shifts, depths", HALF_SHAPES)
+def test_real_tensor_transforms_as_complex(shifts, depths):
+    # b_transform and b_inverse of a real tensor are complex, bit for bit
+    # those of the same values stored complex.
+    dom = LatticeDomain(shifts, depths)
+    v = random_real_tensor(dom, np.random.default_rng(42))
+    stored_complex = CoeffTensor._trusted(dom, v.data.astype(np.complex128))
+    for transform in (b_transform, b_inverse):
+        got = transform(v).data
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, transform(stored_complex).data)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize(
+    "shifts, depths",
+    [((37,), (1,)), ((37,), (3,)), ((6, 5), (1, 1)), ((6, 5), (1, 3)),
+     ((4, 3, 5), (1, 1, 1)), ((4, 3, 6), (1, 2, 1)), ((4, 3, 5), (3, 1, 1))],
+)
+def test_half_pair_split_bitwise_equal_one_part(monkeypatch, shifts, depths, workers):
+    # The half pair takes the same splits as the complex pair: depth
+    # slabs, or parts of each pass along another shift axis.
+    dom = LatticeDomain(shifts, depths)
+    v = random_real_tensor(dom, np.random.default_rng(43))
+
+    def run():
+        half = btransform._half_transform(v)
+        return [half.copy(), btransform._half_inverse(half, dom).data]
+
+    whole = run()
+    splits = []
+    run_parts = btransform._run_parts
+
+    def recording(body, parts):
+        splits.append(len(parts))
+        run_parts(body, parts)
+
+    monkeypatch.setattr(btransform, "_run_parts", recording)
+    monkeypatch.setattr(btransform, "_SPLIT_COEFFS", 1)
+    monkeypatch.setattr(btransform, "_WORKERS", workers)
+    for got, want in zip(run(), whole):
+        assert np.array_equal(got, want)
+    if dom.depth_count >= workers:
+        assert splits == [workers, workers]
+    else:
+        assert len(splits) == 2 * dom.d
+        assert (max(splits) == workers) == (dom.d > 1)

@@ -18,6 +18,7 @@ from shiftortho import (
     check_shift_perpendicular,
     flatten,
     project_sso,
+    project_sso_orth,
     random_tensor,
     sopw_fourier_coeffs,
 )
@@ -62,13 +63,41 @@ class TestCoeffFile:
             assert np.array_equal(back.data, tensor.data)
 
     def test_write_read_write_byte_identical(self, tmp_path):
+        # Inputs, their projections (stored real for a real input) and
+        # deflated projections, d = 1..3, real and complex: every kind of
+        # file the library writes reads back to a tensor that writes the
+        # same bytes, with the same dtype.
         rng = np.random.default_rng(1)
-        tensor = random_tensor(LatticeDomain((3,), (4,)), rng)
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
-        write_coeff_file(first, tensor)
-        write_coeff_file(second, read_coeff_file(first))
-        assert first.read_bytes() == second.read_bytes()
+        for shifts, depths in (((3,), (4,)), ((4, 3), (2, 2)), ((2, 3, 5), (2, 1, 2))):
+            dom = LatticeDomain(shifts, depths)
+            mode = project_sso(random_tensor(dom, rng))
+            for real in (False, True):
+                tensor = random_tensor(dom, rng, real=real)
+                for written in (tensor, project_sso(tensor), project_sso_orth(tensor, [mode])):
+                    write_coeff_file(first, written)
+                    back = read_coeff_file(first)
+                    assert back.data.dtype == written.data.dtype
+                    write_coeff_file(second, back)
+                    assert first.read_bytes() == second.read_bytes()
+                kind = json.loads(first.read_text().splitlines()[0])["kind"]
+                assert kind == "complex"  # the deflated projection is complex
+                write_coeff_file(first, project_sso(tensor))
+                kind = json.loads(first.read_text().splitlines()[0])["kind"]
+                assert kind == ("real" if real else "complex")
+
+    def test_zero_imaginary_fields_read_real(self, tmp_path):
+        # Hand-written files whose imaginary fields are all zero, "-0"
+        # included, read as real tensors; a "-0" is written back as "0".
+        path = tmp_path / "h.csv"
+        for kind in ("real", "complex"):
+            path.write_text(HEADER_1D % kind + "1,0,1.5,-0\n1,1,-2,0\n")
+            tensor = read_coeff_file(path)
+            assert tensor.data.dtype == np.float64
+            assert np.array_equal(tensor.data, [1.5, -2.0])
+            write_coeff_file(path, tensor)
+            assert path.read_text().splitlines()[1:] == ["1,0,1.5,0", "1,1,-2,0"]
 
     def test_real_kind_detection(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -306,6 +335,27 @@ class TestProjectCommand:
         )
         assert code == 2
         assert "modes" in captured.err
+
+    def test_missing_input_exit_1(self, tmp_path, capsys):
+        target = tmp_path / "out.csv"
+        code, status, captured = run_cli(
+            capsys, "project", str(tmp_path / "missing.csv"), str(target)
+        )
+        assert code == 1
+        assert status is None
+        assert captured.err.startswith("error: ") and "missing.csv" in captured.err
+        assert not target.exists()
+
+    def test_unwritable_output_exit_1(self, tmp_path, capsys):
+        source = tmp_path / "in.csv"
+        rng = np.random.default_rng(9)
+        write_coeff_file(source, random_tensor(LatticeDomain((4,), (3,)), rng))
+        code, status, captured = run_cli(
+            capsys, "project", str(source), str(tmp_path / "no_dir" / "out.csv")
+        )
+        assert code == 1
+        assert status is None
+        assert captured.err.startswith("error: ") and "no_dir" in captured.err
 
     def test_malformed_file_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -596,6 +646,37 @@ class TestBenchCommand:
         assert report["all_ratios_ok"] == status["all_ratios_ok"] == all(
             section["ratio_ok"] for section in report["sections"]
         )
+
+
+    @pytest.mark.parametrize("argv", [
+        ("--repeats", "0"),
+        ("--repeats", "-1"),
+        ("--min-exp", "12", "--max-exp", "11"),
+        ("--min-exp", "6", "--max-exp", "8"),  # 2^6 does not exceed the fixed 64 shifts
+    ])
+    def test_bad_argument_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("bench built a tensor for a rejected argument")
+
+        monkeypatch.setattr(cli, "random_tensor", no_work)
+        out = tmp_path / "bench.json"
+        code, status, captured = run_cli(
+            capsys, "bench", "--min-exp", "10", "--max-exp", "11", "--out", str(out), *argv
+        )
+        assert code == 2
+        assert status is None
+        assert captured.err.startswith("error: ")
+        assert "noisy" not in captured.err
+        assert not out.exists()
+
+    def test_unwritable_out_exit_1(self, tmp_path, capsys):
+        code, status, captured = run_cli(
+            capsys, "bench", "--min-exp", "10", "--max-exp", "11", "--repeats", "1",
+            "--out", str(tmp_path / "no_dir" / "b.json"),
+        )
+        assert code == 1
+        assert status is None
+        assert "error: " in captured.err and "no_dir" in captured.err
 
 
 class TestCertifyCommand:

@@ -92,6 +92,12 @@ class TestKernelContract:
             assert out is columns
             assert np.abs(np.linalg.norm(columns, axis=0) - 1.0).max() <= 1e-12
 
+    def test_real_columns_rejected(self):
+        # The kernel reads complex columns as interleaved pairs of doubles.
+        dom = LatticeDomain((3,), (2,))
+        with pytest.raises(TypeError):
+            project_columns(np.ones((2, 3)), dom)
+
     def test_inputs_left_unchanged(self, monkeypatch):
         rng = np.random.default_rng(17)
         # also with blocks of one column, so multi-block calls run on the pool
@@ -328,6 +334,127 @@ class TestColumnBlocks:
         for result in results:
             for got, want in zip(result, expected):
                 assert np.array_equal(got, want)
+
+
+class TestRealRoute:
+    """A real input without modes is projected on its half spectrum."""
+
+    @staticmethod
+    def complex_route(b, cfg=ProjectionConfig()):
+        p = b_transform(b)
+        project_columns(p.columns, b.domain, cfg)
+        return b_inverse(p)
+
+    # The worst difference from the complex route over these shapes was
+    # 6.9e-17, at ((9, 7), (3, 2)); at 16 depths x 65536 shifts it is 2.9e-18.
+    @pytest.mark.parametrize("shifts, depths", [
+        ((7,), (5,)), ((64,), (4,)), ((9, 7), (3, 2)), ((6, 5, 8), (2, 1, 2)),
+        ((16, 16, 17), (4, 4, 1)),
+        ((512, 257), (1, 1)),  # 2^17+ coefficients, one depth: passes split along axis 1
+        ((64,), (4096,)),  # 2^18 coefficients in depth slabs
+    ])
+    def test_agrees_with_complex_route(self, monkeypatch, shifts, depths):
+        monkeypatch.setattr(btransform, "_WORKERS", 2)
+        dom = LatticeDomain(shifts, depths)
+        b = random_real_tensor(dom, np.random.default_rng(50))
+        assert b.data.dtype == np.float64
+        out = project_sso(b)
+        assert out.data.dtype == np.float64
+        assert np.abs(out.data - self.complex_route(b).data).max() <= 1e-15
+        assert is_shift_orthogonal(out).max_norm_deviation <= 1e-12
+
+    @pytest.mark.parametrize("fallback", list(FallbackVector))
+    @pytest.mark.parametrize("shifts, depths", [
+        ((8,), (3,)), ((7,), (4,)), ((4, 5), (2, 2)), ((2, 3, 4), (2, 1, 2)),
+    ])
+    def test_degenerate_fallback_columns_match(self, shifts, depths, fallback):
+        dom = LatticeDomain(shifts, depths)
+        cfg = ProjectionConfig(fallback_vector=fallback)
+        b = engineered_degenerate_real(dom, np.random.default_rng(51))
+        out = project_sso(b, cfg)
+        assert out.data.dtype == np.float64
+        ref = self.complex_route(b, cfg)
+        assert np.abs(out.data - ref.data).max() <= 1e-15
+        column = {
+            FallbackVector.UNIFORM_REAL: np.full(dom.depth_count, dom.depth_count ** -0.5),
+            FallbackVector.FIRST_CANONICAL: np.eye(dom.depth_count)[0],
+        }[fallback]
+        for tensor in (out, ref):
+            columns = b_transform(tensor).columns
+            assert np.abs(columns[:, 1:] - column[:, None]).max() <= 1e-14
+
+    def test_output_dtype(self):
+        rng = np.random.default_rng(52)
+        dom = LatticeDomain((6, 4), (2, 2))
+        real, stored_real = random_real_tensor(dom, rng), random_tensor(dom, rng, real=True)
+        mode = project_sso(random_tensor(dom, rng))
+        assert project_sso(real).data.dtype == np.float64
+        assert project_sso(stored_real).data.dtype == np.float64
+        assert project_sso(random_tensor(dom, rng)).data.dtype == np.complex128
+        # modes keep the complex route, whose result is complex
+        assert project_sso_orth(real, [mode]).data.dtype == np.complex128
+
+    @pytest.mark.parametrize("shifts, depths", [((12,), (3,)), ((1 << 17,), (2,))])
+    def test_no_complex_fft_on_real_input(self, monkeypatch, shifts, depths):
+        # The guard against a silent return to the complex route: a 1-D
+        # real input is transformed by rfft and irfft alone.
+        calls = []
+        for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        dom = LatticeDomain(shifts, depths)
+        out = project_sso(random_real_tensor(dom, np.random.default_rng(53)))
+        assert out.data.dtype == np.float64
+        assert calls and set(calls) == {"rfft", "irfft"}
+
+    def test_conjugate_twins_straddling_eps(self):
+        """Twin columns ``j`` and ``-j`` on either side of ``zero_norm_eps``.
+
+        The complex route computes the norms of the twins separately; for
+        this random 1-D input they differ in the last bit at several ``j``.
+        With ``zero_norm_eps`` set to the smaller norm of one such pair, the
+        complex route sends that twin to the fallback and scales the other,
+        which gives a complex output.  The half spectrum holds one column of
+        each pair, so the projection is exactly real and a member.
+        """
+        dom = LatticeDomain((64,), (3,))
+        b = random_real_tensor(dom, np.random.default_rng(54))
+        norms = is_shift_orthogonal(b).per_frequency_norms
+        j = next(j for j in range(1, 32) if norms[j] != norms[64 - j])
+        cfg = ProjectionConfig(zero_norm_eps=min(norms[j], norms[64 - j]))
+        assert self.complex_route(b, cfg).max_imag() > 1e-3
+        out = project_sso(b, cfg)
+        assert out.data.dtype == np.float64 and out.max_imag() == 0.0
+        assert is_shift_orthogonal(out).is_member
+        assert direct_shift_violation(out) <= 1e-10
+
+    @pytest.mark.parametrize("shifts, depths", [((64, 8), (3, 1)), ((6, 5, 8), (2, 1, 2))])
+    def test_twins_in_self_conjugate_plane(self, shifts, depths):
+        """Twins inside the plane of last shift index 0, with two or more axes.
+
+        That plane of the half spectrum holds both twins of its columns,
+        whose kernel norms (``projection._column_dots``) differ in the last
+        bit for these random inputs.  ``zero_norm_eps`` is set to the
+        smaller of one such pair: the output is still a member.
+        """
+        dom = LatticeDomain(shifts, depths)
+        b = random_real_tensor(dom, np.random.default_rng(55))
+        half = btransform._half_transform(b)
+        flat = half.reshape(dom.depth_count, -1)
+        norms = np.sqrt(projection._column_dots(flat, flat)).reshape(half.shape[1:])
+        plane = norms[..., 0]
+        twins = np.roll(np.flip(plane), 1, axis=tuple(range(plane.ndim)))
+        j = np.argwhere(plane != twins)[0]
+        cfg = ProjectionConfig(zero_norm_eps=min(plane[tuple(j)], twins[tuple(j)]))
+        out = project_sso(b, cfg)
+        assert out.data.dtype == np.float64
+        report = is_shift_orthogonal(out)
+        assert report.is_member, report.max_constraint_violation
 
 
 class TestProjectSso:

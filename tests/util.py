@@ -135,9 +135,11 @@ def theta_normalize(p: CoeffTensor, cfg: ProjectionConfig = ProjectionConfig()) 
 
     The library's column kernel on a copy, wrapped as a tensor: columns
     with norm at most the resolved threshold take the configured real
-    fallback column.  ``p`` is left unchanged.
+    fallback column.  ``p`` is left unchanged; its columns are taken as
+    complex, since a tensor with no nonzero imaginary part is stored real.
     """
-    return CoeffTensor(p.domain, project_columns(p.columns.copy(), p.domain, cfg))
+    columns = p.columns.astype(np.complex128)
+    return CoeffTensor(p.domain, project_columns(columns, p.domain, cfg))
 
 
 def direct_b_transform(v: CoeffTensor) -> np.ndarray:
