@@ -112,44 +112,37 @@ def _shift_passes(steps: Sequence[tuple], size: int) -> None:
             _run_parts(partial(run, [step]), parts)
 
 
-def _complex_steps(fft: Callable, src: np.ndarray, out: np.ndarray) -> list[tuple]:
-    """Steps of ``fft`` (``norm="forward"``) over every shift axis, last first, into ``out``."""
-    fft = partial(fft, norm="forward")
-    last = src.ndim - 1
-    return [(fft, axis, src if axis == last else out, out) for axis in range(last, 0, -1)]
-
-
 def _slab_view(t: CoeffTensor) -> np.ndarray:
     """View of ``t`` shaped ``(depth_count,) + shifts``."""
     return t.data.reshape((t.domain.depth_count,) + t.domain.shifts)
 
 
+def _complex_transform(fft: Callable, t: CoeffTensor, in_place: bool = False) -> CoeffTensor:
+    """``fft`` (``norm="forward"``) over every shift axis of ``t``, last first.
+
+    Into a fresh complex tensor, or with ``in_place`` into ``t``'s own
+    buffer, for a complex ``t`` that the caller drops: a fresh output costs
+    a page-faulting allocation on every call once the tensor outgrows the
+    allocator's cached memory, about 1000 faults and 7-10 ms per
+    2^20-coefficient projection on a 2-CPU Xeon VM.
+    """
+    src = _slab_view(t)
+    out = src if in_place else np.empty(src.shape, dtype=np.complex128)
+    fft = partial(fft, norm="forward")
+    last = src.ndim - 1
+    steps = [(fft, axis, src if axis == last else out, out) for axis in range(last, 0, -1)]
+    _shift_passes(steps, t.domain.size)
+    return CoeffTensor._trusted(t.domain, out)
+
+
 def b_transform(v: CoeffTensor) -> CoeffTensor:
     """Forward transform: ``out(i; j) = sum_l exp(+2*pi*i j.l / L) v(i; l)``."""
-    src = _slab_view(v)
-    out = np.empty(src.shape, dtype=np.complex128)
-    _shift_passes(_complex_steps(np.fft.ifft, src, out), v.domain.size)
-    return CoeffTensor._trusted(v.domain, out)
+    return _complex_transform(np.fft.ifft, v)
 
 
 def b_inverse(p: CoeffTensor) -> CoeffTensor:
     """Inverse transform; ``b_inverse(b_transform(v)) == v`` up to rounding."""
-    src = _slab_view(p)
-    out = np.empty(src.shape, dtype=np.complex128)
-    _shift_passes(_complex_steps(np.fft.fft, src, out), p.domain.size)
-    return CoeffTensor._trusted(p.domain, out)
-
-
-def _b_inverse_in_place(p: CoeffTensor) -> CoeffTensor:
-    """:func:`b_inverse` computed in ``p``'s buffer, for a caller that drops ``p``.
-
-    A fresh output costs a page-faulting allocation on every call once the
-    tensor outgrows the allocator's cached memory: about 1000 faults and
-    7-10 ms per 2^20-coefficient projection on a 2-CPU Xeon VM.
-    """
-    src = _slab_view(p)
-    _shift_passes(_complex_steps(np.fft.fft, src, src), p.domain.size)
-    return p
+    return _complex_transform(np.fft.fft, p)
 
 
 def _half_transform(v: CoeffTensor) -> np.ndarray:

@@ -10,15 +10,16 @@ self-contained SVG so no plotting stack is required.
 from __future__ import annotations
 
 import argparse
-import csv
-import gc
+import contextlib
 import json
 import math
 import os
 import statistics
 import sys
 import time
+import timeit
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .coeffio import (
 from .cpw import CpwConfig, CpwModeSet, solve_cpw_mode
 from .lattice import (
     CoeffTensor,
-    DomainMismatchError,
     LatticeDomain,
     flatten,
     random_tensor,
@@ -41,7 +41,6 @@ from .lattice import (
 from .projection import (
     FallbackVector,
     InfeasibleDeflationError,
-    ModePreconditionError,
     ModeSpan,
     ProjectionConfig,
     is_shift_orthogonal,
@@ -49,8 +48,8 @@ from .projection import (
     project_sso_orth,
 )
 from .sopw import (
-    AliasingError,
     SopwBasis1D,
+    _check_element,
     band_slots,
     sopw_fourier_coeffs,
     synthesize_grid,
@@ -159,30 +158,17 @@ def _bench_section(label, domains, repeats, rng) -> dict:
     # Round-robin over sizes: consecutive same-size repeats would fold CPU
     # frequency drift into the doubling ratios.  Small sizes are batched so
     # every sample is a few milliseconds, keeping scheduler noise bounded.
-    # The collector is paused while timing; its pauses otherwise land in
-    # arbitrary samples.
-    tensors = [random_tensor(domain, rng) for domain in domains]
-    batch = []
-    for tensor in tensors:  # warm-up pass, discarded; also sizes the batches
-        start = time.perf_counter()
-        project_sso(tensor)
-        once = max(time.perf_counter() - start, 1e-9)
-        batch.append(max(1, math.ceil(_MIN_SAMPLE_SECONDS / once)))
+    # timeit pauses the collector while it times; its pauses otherwise land
+    # in arbitrary samples.
+    timers = [timeit.Timer(partial(project_sso, random_tensor(domain, rng)))
+              for domain in domains]
+    # A warm-up pass, discarded; it also sizes the batches.
+    batch = [max(1, math.ceil(_MIN_SAMPLE_SECONDS / max(timer.timeit(1), 1e-9)))
+             for timer in timers]
     samples: list[list[float]] = [[] for _ in domains]
-    gc.collect()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            for index, tensor in enumerate(tensors):
-                count = batch[index]
-                start = time.perf_counter()
-                for _ in range(count):
-                    project_sso(tensor)
-                samples[index].append((time.perf_counter() - start) / count)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    for _ in range(repeats):
+        for timer, count, times in zip(timers, batch, samples):
+            times.append(timer.timeit(count) / count)
     medians = [float(statistics.median(times)) for times in samples]
     # Least-squares fit of t = c * M * log(shift_count).
     predictor = np.array([d.size * math.log(d.shift_count) for d in domains])
@@ -208,6 +194,15 @@ def _bench_section(label, domains, repeats, rng) -> dict:
     }
 
 
+def _check_bench_args(min_exp: int, max_exp: int, repeats: int) -> None:
+    if min_exp > max_exp:
+        raise ValueError("min_exp must not exceed max_exp")
+    if 1 << min_exp <= max(_BENCH_DEPTHS, _BENCH_SHIFTS):
+        raise ValueError("exponent range too small for the fixed factors")
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+
+
 def run_bench(min_exp: int, max_exp: int, repeats: int, seed: int = 0) -> dict:
     """Time the projection over doublings of the input size.
 
@@ -215,12 +210,7 @@ def run_bench(min_exp: int, max_exp: int, repeats: int, seed: int = 0) -> dict:
     cap and vice versa.  Each point is the median of ``repeats`` runs after
     one discarded warm-up.
     """
-    if min_exp > max_exp:
-        raise ValueError("min_exp must not exceed max_exp")
-    if 1 << min_exp <= max(_BENCH_DEPTHS, _BENCH_SHIFTS):
-        raise ValueError("exponent range too small for the fixed factors")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    _check_bench_args(min_exp, max_exp, repeats)
     rng = np.random.default_rng(seed)
     exponents = range(min_exp, max_exp + 1)
     shift_scaling = [
@@ -297,15 +287,9 @@ def cmd_project(args) -> int:
 def cmd_sopw(args) -> int:
     basis = SopwBasis1D(args.L, args.N)
     depths = args.depths or list(range(1, min(6, basis.depth_cap) + 1))
-    if min(depths) < 1:
-        raise ValueError(f"requested depth {min(depths)} below 1")
-    if max(depths) > basis.depth_cap:
-        raise ValueError(
-            f"requested depth {max(depths)} exceeds depth cap {basis.depth_cap}"
-        )
     shift_idx = args.shift if args.shift is not None else basis.num_shifts // 2
-    if not 0 <= shift_idx < basis.num_shifts:
-        raise ValueError(f"shift {shift_idx} outside 0..{basis.num_shifts - 1}")
+    for k in depths:
+        _check_element(k, shift_idx, basis, basis.depth_cap)
     if args.plot:
         band_slots(basis, args.grid)  # AliasingError before any file is written
 
@@ -344,6 +328,13 @@ def cmd_sopw(args) -> int:
     return EXIT_OK
 
 
+def _write_csv(path, header: str, template: str, table: np.ndarray) -> None:
+    # csv.writer's default dialect: CRLF rows, numbers unquoted.
+    with open(path, "w", newline="", encoding="ascii") as handle:
+        handle.write(header + "\r\n")
+        handle.write(format_rows(template, table))
+
+
 def cmd_cpw(args) -> int:
     basis = SopwBasis1D(args.L, args.N)
     if args.modes < 1:
@@ -377,13 +368,8 @@ def cmd_cpw(args) -> int:
         mode_set.add(mode)
         timings.append((index + 1, diag.iterations, seconds))
 
-        samples_path = os.path.join(args.outdir, f"mode{index + 1}_samples.csv")
-        with open(samples_path, "w", newline="", encoding="ascii") as handle:
-            # csv.writer's default dialect: CRLF rows, numbers unquoted.
-            handle.write("x,psi\r\n")
-            handle.write(
-                format_rows("%.17g,%.17g\r\n", np.column_stack([x, mode.samples]))
-            )
+        _write_csv(os.path.join(args.outdir, f"mode{index + 1}_samples.csv"), "x,psi",
+                   "%.17g,%.17g\r\n", np.column_stack([x, mode.samples]))
         coeff_path = os.path.join(args.outdir, f"mode{index + 1}_coeffs.csv")
         write_coeff_file(coeff_path, mode.coeffs)
         mode_reports.append(
@@ -409,15 +395,9 @@ def cmd_cpw(args) -> int:
     write_svg(figure_path, panels)
 
     timing_path = os.path.join(args.outdir, "timings.csv")
-    with open(timing_path, "w", newline="", encoding="ascii") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["mode", "iterations", "seconds"])
-        for mode_no, iterations, seconds in timings:
-            writer.writerow([mode_no, iterations, f"{seconds:.6f}"])
-        writer.writerow(
-            ["total", sum(t[1] for t in timings),
-             f"{sum(t[2] for t in timings):.6f}"]
-        )
+    total = ("total", sum(t[1] for t in timings), sum(t[2] for t in timings))
+    _write_csv(timing_path, "mode,iterations,seconds", "%s,%d,%.6f\r\n",
+               np.array(timings + [total], dtype=object))
 
     all_converged = all(report["converged"] for report in mode_reports)
     _emit(
@@ -447,16 +427,18 @@ def cmd_cpw(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if 1 <= args.repeats < 5:  # run_bench rejects counts below 1
+    _check_bench_args(args.min_exp, args.max_exp, args.repeats)
+    if args.repeats < 5:
         print(
             f"warning: {args.repeats} repeats gives noisy medians; 5+ recommended",
             file=sys.stderr,
         )
-    report = run_bench(args.min_exp, args.max_exp, args.repeats, seed=args.seed)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    # Opened before the sweep, so an unwritable path fails before any work.
+    with open(args.out, "w", encoding="ascii") if args.out else contextlib.nullcontext() as out:
+        report = run_bench(args.min_exp, args.max_exp, args.repeats, seed=args.seed)
+        if out:
+            json.dump(report, out, indent=2, sort_keys=True)
+            out.write("\n")
     _emit(
         {
             "command": "bench",
@@ -564,14 +546,9 @@ def main(argv=None) -> int:
     except (CoeffFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        DomainMismatchError,
-        InfeasibleDeflationError,
-        ModePreconditionError,
-        AliasingError,
-        IndexError,
-        ValueError,
-    ) as exc:
+    # The library's precondition errors (domain mismatch, infeasible
+    # deflation, bad modes, aliasing) all subclass ValueError.
+    except (IndexError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

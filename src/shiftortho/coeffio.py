@@ -20,7 +20,7 @@ import numpy as np
 
 # Only the error-path row walk calls ``flatten``; it is looked up as a module
 # global because ``perfbench/spans.py`` rebinds ``shiftortho.coeffio.flatten``.
-from .lattice import CoeffTensor, LatticeDomain, flatten
+from .lattice import CoeffTensor, LatticeDomain, _storage_dtype, flatten
 
 SCHEMA_VERSION = 1
 _ROWS_PER_FORMAT = 1 << 12
@@ -155,12 +155,10 @@ def _bulk_values(body: list[str], domain: LatticeDomain, kind: str) -> np.ndarra
         or (kind == "real" and values[:, 1].any())
     ):
         return None
-    if not values[:, 1].any():  # CoeffTensor's rule: no nonzero imaginary part
-        data = np.empty(domain.size)
-        data[flat] = values[:, 0]
-        return data
-    data = np.empty(domain.size, dtype=np.complex128)
-    data.view(np.float64).reshape(-1, 2)[flat] = values
+    data = np.empty(domain.size, dtype=_storage_dtype(values[:, 1]))
+    # One float64 field per stored value: the real part, or both parts.
+    fields = data.itemsize // 8
+    data.view(np.float64).reshape(-1, fields)[flat] = values[:, :fields]
     return data
 
 

@@ -20,6 +20,11 @@ import numpy as np
 MAX_DIMENSION = 3
 
 
+def _storage_dtype(imag: np.ndarray) -> type:
+    """float64 if no value of ``imag`` is nonzero (``-0.0`` counts as zero), else complex128."""
+    return np.complex128 if imag.any() else np.float64
+
+
 class DomainMismatchError(ValueError):
     """Operands that must share a lattice domain do not."""
 
@@ -95,10 +100,9 @@ class CoeffTensor:
 
     def __post_init__(self):
         data = np.asarray(self.data)
-        if np.iscomplexobj(data) and not data.imag.any():
-            data = data.real
-        dtype = np.complex128 if np.iscomplexobj(data) else np.float64
-        data = np.ascontiguousarray(data, dtype=dtype).reshape(-1)
+        dtype = _storage_dtype(data.imag) if np.iscomplexobj(data) else np.float64
+        data = np.ascontiguousarray(data.real if dtype is np.float64 else data, dtype)
+        data = data.reshape(-1)
         if data.size != self.domain.size:
             raise ValueError(
                 f"expected {self.domain.size} coefficients, got {data.size}"
@@ -139,9 +143,6 @@ class CoeffTensor:
 
     def copy(self) -> "CoeffTensor":
         return CoeffTensor(self.domain, self.data.copy())
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
 
     def max_imag(self) -> float:
         return float(np.abs(self.data.imag).max()) if self.data.size else 0.0

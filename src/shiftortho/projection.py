@@ -29,7 +29,7 @@ import numpy as np
 
 from .btransform import (
     _SPLIT_COEFFS,
-    _b_inverse_in_place,
+    _complex_transform,
     _half_inverse,
     _half_transform,
     _run_parts,
@@ -216,17 +216,15 @@ def normalize_columns(columns: np.ndarray, eps: float, fallback: FallbackVector,
 
 def project_columns(columns: np.ndarray, domain: LatticeDomain,
                     cfg: ProjectionConfig = DEFAULT_CONFIG,
-                    mode_columns: np.ndarray | Sequence[np.ndarray] | None = None
-                    ) -> np.ndarray:
+                    mode_columns: Sequence[np.ndarray] = ()) -> np.ndarray:
     """Replace every B-transform column by its closest unit vector, in place.
 
     ``columns`` is a C-contiguous complex128 ``depth_count x shift_count``
     buffer on the scale of :func:`b_transform` (or a real tensor's half
     spectrum) that the caller owns: it is overwritten and returned.  With
-    ``mode_columns`` (an ``n x depth_count x shift_count`` array or a
-    sequence of ``n`` such matrices, orthonormal per frequency) each
-    column first loses its component in the span of the mode columns at
-    its frequency (:func:`deflate_columns`).  Then
+    ``mode_columns`` (matrices of the same shape, orthonormal per
+    frequency) each column first loses its component in the span of the
+    mode columns at its frequency (:func:`deflate_columns`).  Then
     :func:`normalize_columns` scales it, or gives it a fallback if its norm
     is at most ``cfg.resolve_eps(domain)``.  Each column's result does not
     depend on how the columns are split into blocks.
@@ -234,11 +232,10 @@ def project_columns(columns: np.ndarray, domain: LatticeDomain,
     if columns.dtype != np.complex128:
         raise TypeError(f"columns must be complex128, got {columns.dtype}")
     eps = cfg.resolve_eps(domain)
-    modes = [] if mode_columns is None else list(mode_columns)
 
     def body(cols: slice) -> None:
         block = columns[:, cols]
-        block_modes = [mode[:, cols] for mode in modes]
+        block_modes = [mode[:, cols] for mode in mode_columns]
         if block_modes:
             deflate_columns(block, block_modes)
         normalize_columns(block, eps, cfg.fallback_vector, block_modes)
@@ -266,6 +263,11 @@ def _frequency_inners(gs: Sequence[np.ndarray], f: np.ndarray) -> np.ndarray:
 
     _each_block(f.shape, body)
     return inners
+
+
+def _shift_peak(freq_inner: np.ndarray, domain: LatticeDomain) -> float:
+    """``max_s |<g, S(s) f>|``, from the per-frequency inner products ``g^H f``."""
+    return float(np.abs(np.fft.ifftn(freq_inner.reshape(domain.shifts))).max())
 
 
 class ModeSpan:
@@ -309,8 +311,7 @@ class ModeSpan:
             raise ModePreconditionError(
                 f"mode columns deviate from per-frequency orthonormality by {worst:.3e}")
         for inner in row[:-1]:
-            shift_inners = np.fft.ifftn(inner.reshape(self.domain.shifts))
-            self.max_shift_inner = max(self.max_shift_inner, float(np.abs(shift_inners).max()))
+            self.max_shift_inner = max(self.max_shift_inner, _shift_peak(inner, self.domain))
         self.columns.append(new)
 
 
@@ -347,7 +348,7 @@ def project_sso_orth(
         return _half_inverse(half, domain)
     p = b_transform(b)
     project_columns(p.columns, domain, cfg, modes.columns)
-    return _b_inverse_in_place(p)
+    return _complex_transform(np.fft.fft, p, in_place=True)
 
 
 def is_shift_orthogonal(v: CoeffTensor, tol: float = 1e-10) -> SsoReport:
@@ -385,7 +386,7 @@ def check_shift_perpendicular(g: CoeffTensor, f: CoeffTensor,
     if g.domain != f.domain:
         raise DomainMismatchError("tensors live on different domains")
     freq_inner = _frequency_inners([b_transform(g).columns], b_transform(f).columns)[0]
-    max_shift = float(np.abs(np.fft.ifftn(freq_inner.reshape(g.domain.shifts))).max())
+    max_shift = _shift_peak(freq_inner, g.domain)
     return ShiftPerpReport(
         max_frequency_inner=float(np.abs(freq_inner).max()),
         max_shift_inner=max_shift,

@@ -78,10 +78,12 @@ def _sign_i_pow(n: int, p: int) -> complex:
     return w if n >= 0 else w.conjugate()
 
 
-def _check_element(k: int, j: int, basis: SopwBasis1D) -> None:
-    """Reject a depth below 1 or a shift outside ``0..L-1``."""
+def _check_element(k: int, j: int, basis: SopwBasis1D, top: float = math.inf) -> None:
+    """Reject a depth outside ``1..top`` or a shift outside ``0..L-1``."""
     if k < 1:
-        raise ValueError("depth must be >= 1")
+        raise ValueError(f"depth {k} below 1")
+    if k > top:
+        raise ValueError(f"depth {k} above {top}")
     if not 0 <= j < basis.num_shifts:
         raise ValueError(f"shift {j} outside 0..{basis.num_shifts - 1}")
 
@@ -95,9 +97,7 @@ def sopw_fourier_coeffs(k: int, j: int, basis: SopwBasis1D):
     ``1/sqrt(2L)``.  Depths up to ``depth_cap + 1`` are available so the
     shell just above the cap can be tabulated.
     """
-    if not 1 <= k <= basis.depth_cap + 1:
-        raise ValueError(f"depth {k} outside 1..{basis.depth_cap + 1}")
-    _check_element(k, j, basis)
+    _check_element(k, j, basis, basis.depth_cap + 1)
     num_shifts = basis.num_shifts
     half = num_shifts // 2
     interior_weight = 1.0 / math.sqrt(num_shifts)
@@ -109,13 +109,11 @@ def sopw_fourier_coeffs(k: int, j: int, basis: SopwBasis1D):
         low, high = (k - 1) * half, k * half
         interior = [n for n in range(-high + 1, high) if abs(n) > low]
         edges = (-high, -low, low, high)
+    weighted = [(n, interior_weight) for n in interior] + [(n, edge_weight) for n in edges]
     entries = []
-    for n in interior:
+    for n, weight in weighted:
         phase = cmath.exp(-2j * math.pi * j * n / num_shifts)
-        entries.append((n, _sign_i_pow(n, k - 1) * phase * interior_weight))
-    for n in edges:
-        phase = cmath.exp(-2j * math.pi * j * n / num_shifts)
-        entries.append((n, _sign_i_pow(n, k - 1) * phase * edge_weight))
+        entries.append((n, _sign_i_pow(n, k - 1) * phase * weight))
     entries.sort(key=lambda item: item[0])
     return entries
 

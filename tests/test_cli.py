@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -221,11 +222,19 @@ class TestCoeffFile:
             '{"schema": 1, "d": 1, "L": 2, "N": [1], "kind": "real"}',
             '{"schema": true, "d": 1, "L": [2], "N": [1], "kind": "real"}',
             '{"schema": 1, "d": 1.0, "L": [2], "N": [1], "kind": "real"}',
+            '{"schema": 1, "d": 1, "L": [2], "N": [1], "kind": "quaternion"}',
+            '{"schema": 1, "d": 1, "L": [0], "N": [1], "kind": "real"}',
+            '{"schema": 1, "d": 2, "L": [2, 2], "N": [1], "kind": "real"}',
         ],
     )
     def test_header_rejected_on_row_1(self, tmp_path, header):
         error = read_error(tmp_path / "hdr.csv", header + "\n1,0,1.0,0.0\n1,1,2.0,0.0\n")
         assert error.row == 1
+
+    def test_empty_file_rejected(self, tmp_path):
+        error = read_error(tmp_path / "empty.csv", "")
+        assert error.row is None
+        assert "empty file" in str(error)
 
     def test_non_ascii_byte_named_by_file_line(self, tmp_path):
         path = tmp_path / "latin.csv"
@@ -472,6 +481,9 @@ class TestSopwCommand:
 
     @pytest.mark.parametrize("extra", [
         ("--depths", "0"),
+        ("--depths", "7"),  # above the depth cap N=6
+        ("--shift", "8"),  # shifts run 0..7 for L=8
+        ("--shift", "-1"),
         ("--plot", "fig.svg", "--grid", "10"),  # below Nyquist for L=8, N=6
     ])
     def test_bad_argument_writes_no_table(self, tmp_path, capsys, monkeypatch, extra):
@@ -481,6 +493,13 @@ class TestSopwCommand:
         )
         assert code == 2
         assert list(tmp_path.iterdir()) == []
+
+    def test_flat_svg_panel(self):
+        # A constant series gets a unit band around its value, not a zero-height axis.
+        svg = cli._svg_panels([{"x": [0.0, 1.0, 2.0], "y": [1.0, 1.0, 1.0], "title": "flat"}])
+        assert "nan" not in svg.lower() and "inf" not in svg.lower()
+        assert "range [-0.1, 2.1]" in svg
+        assert 'points="42.00,117.00 440.00,117.00 838.00,117.00"' in svg
 
 
 class TestCpwCommand:
@@ -535,6 +554,22 @@ class TestCpwCommand:
         for xv, pv in zip(x, psi):
             writer.writerow([f"{xv:.17g}", f"{pv:.17g}"])
         assert written == expected.getvalue().encode("ascii")
+
+    def test_timings_csv_matches_csv_writer(self, tmp_path, capsys):
+        outdir = tmp_path / "run"
+        code, status, _ = run_cli(
+            capsys, "cpw", "--L", "8", "--N", "4", "--modes", "2",
+            "--grid", "128", "--outdir", str(outdir),
+        )
+        assert code == 0
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["mode", "iterations", "seconds"])
+        for report in status["modes"]:
+            writer.writerow([report["mode"], report["iterations"], f"{report['seconds']:.6f}"])
+        writer.writerow(["total", sum(r["iterations"] for r in status["modes"]),
+                         f"{sum(r['seconds'] for r in status['modes']):.6f}"])
+        assert (outdir / "timings.csv").read_bytes() == expected.getvalue().encode("ascii")
 
     def test_non_convergence_exit_3(self, tmp_path, capsys):
         outdir = tmp_path / "run"
@@ -678,6 +713,30 @@ class TestBenchCommand:
         assert status is None
         assert "error: " in captured.err and "no_dir" in captured.err
 
+    @pytest.mark.parametrize("out", ["no_dir/b.json", "."])
+    def test_unwritable_out_exit_1_before_any_work(self, tmp_path, capsys, monkeypatch, out):
+        def no_work(*args, **kwargs):
+            raise AssertionError("bench started a sweep with an unwritable --out")
+
+        monkeypatch.setattr(cli, "random_tensor", no_work)
+        code, status, captured = run_cli(
+            capsys, "bench", "--min-exp", "10", "--max-exp", "11", "--out", str(tmp_path / out)
+        )
+        assert code == 1
+        assert status is None
+        assert captured.err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_collector_state_restored(self):
+        enabled = gc.isenabled()
+        try:
+            for state in (False, True):
+                (gc.enable if state else gc.disable)()
+                cli.run_bench(10, 10, 1)
+                assert gc.isenabled() == state
+        finally:
+            (gc.enable if enabled else gc.disable)()
+
 
 class TestCertifyCommand:
     def test_pass(self, capsys):
@@ -704,13 +763,21 @@ class TestUsage:
         assert main(["sopw"]) == 1
 
     def test_module_entrypoint(self, tmp_path):
+        # ``python -m shiftortho`` runs __main__.py and cli.entrypoint() in a
+        # fresh process on this checkout's sources.
+        path = os.pathsep.join(filter(None, [TestStartUp.SRC, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "shiftortho", "certify", "--L", "4"],
-            capture_output=True,
-            text=True,
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
         )
-        assert result.returncode == 0
-        assert json.loads(result.stdout.splitlines()[-1])["all_passed"]
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        [line] = result.stdout.splitlines()
+        status = json.loads(line)
+        assert status["command"] == "certify"
+        assert status["num_shifts"] == 4
+        assert status["all_passed"] is True
 
 
 class TestStartUp:

@@ -284,6 +284,16 @@ class TestConfigAndModeSet:
             CpwConfig(tol=0.0)
         with pytest.raises(ValueError):
             CpwConfig(init="bump")
+        with pytest.raises(ValueError, match="r must"):
+            CpwConfig(r=0.0)
+        with pytest.raises(ValueError, match="max_iter"):
+            CpwConfig(max_iter=0)
+
+    def test_default_grid_size_resolves_from_basis(self):
+        basis = SopwBasis1D(8, 4)
+        assert CpwConfig().grid_size is None
+        assert CpwConfig().resolve(basis)[3] == basis.default_grid() == 64
+        assert CpwConfig(grid_size=100).resolve(basis)[3] == 100
 
     def test_grid_size_checked_against_basis(self):
         basis = SopwBasis1D(8, 4)

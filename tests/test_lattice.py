@@ -35,7 +35,9 @@ class TestDomain:
 
     @pytest.mark.parametrize(
         "shifts,depths",
-        [((), ()), ((1, 1, 1, 1), (1, 1, 1, 1)), ((0,), (1,)), ((2,), (0,))],
+        [((), ()), ((1, 1, 1, 1), (1, 1, 1, 1)), ((0,), (1,)), ((2,), (0,)),
+         ((2, 2), (1,)),  # one depth cap for two shift axes
+         ((1 << 62, 4), (1, 1))],  # 2^64 coefficients: past the index range
     )
     def test_invalid_domains(self, shifts, depths):
         with pytest.raises(ValueError):
@@ -47,6 +49,13 @@ class TestDomain:
             CoeffTensor(dom, np.zeros(3))
         with pytest.raises(ValueError):
             CoeffTensor(dom, np.array([1.0, np.nan, 0.0, 0.0]))
+
+    def test_from_grid(self):
+        dom = LatticeDomain((3,), (2,))
+        grid = np.arange(6.0).reshape(dom.grid_shape)
+        assert np.array_equal(CoeffTensor.from_grid(dom, grid).data, np.arange(6.0))
+        with pytest.raises(ValueError, match="grid shape"):
+            CoeffTensor.from_grid(dom, grid.T)
 
 
 class TestFlatten:
@@ -82,6 +91,8 @@ class TestFlatten:
             flatten(dom, (3,), (0,))
         with pytest.raises(IndexError):
             flatten(dom, (1,), (2,))
+        with pytest.raises(IndexError, match="rank"):
+            flatten(dom, (1, 1), (0,))
         with pytest.raises(IndexError):
             unflatten(dom, dom.size)
 

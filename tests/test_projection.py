@@ -86,7 +86,7 @@ class TestKernelContract:
         rng = np.random.default_rng(16)
         dom = LatticeDomain((4,), (3,))
         mode = project_sso(random_tensor(dom, rng))
-        for modes in (None, b_transform(mode).columns[None]):
+        for modes in ((), [b_transform(mode).columns]):
             columns = b_transform(random_tensor(dom, rng)).columns
             out = project_columns(columns, dom, mode_columns=modes)
             assert out is columns
@@ -295,7 +295,7 @@ class TestColumnBlocks:
             with pytest.raises(_Submitted):
                 b_transform(v)
             with pytest.raises(_Submitted):
-                btransform._b_inverse_in_place(v.copy())
+                btransform._complex_transform(np.fft.fft, v.copy(), in_place=True)
         with pytest.raises(_Submitted):
             project_columns(random_tensor(wide, rng).columns, wide)
 
@@ -754,3 +754,8 @@ class TestCheckers:
         report = check_shift_perpendicular(delta, delta, 1e-10)
         assert not report.is_perpendicular
         assert abs(report.max_shift_inner - 1.0) <= 1e-14
+
+    def test_perpendicular_domain_mismatch(self):
+        g = CoeffTensor.zeros(LatticeDomain((3,), (2,)))
+        with pytest.raises(DomainMismatchError):
+            check_shift_perpendicular(g, CoeffTensor.zeros(LatticeDomain((2,), (3,))))

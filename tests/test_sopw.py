@@ -59,6 +59,20 @@ class TestBasisConstruction:
         with pytest.raises(ValueError):
             SopwBasis1D(1, 3)
 
+    def test_element_indices_checked(self):
+        basis = SopwBasis1D(8, 3)
+        assert sopw_fourier_coeffs(4, 0, basis)  # the shell above the cap is tabulated
+        for call in (
+            lambda: sopw_fourier_coeffs(5, 0, basis),  # above depth_cap + 1
+            lambda: sopw_fourier_coeffs(0, 0, basis),
+            lambda: eval_closed_form(0, 0, 0.5, basis),
+            lambda: eval_closed_form(1, 8, 0.5, basis),
+            lambda: first_derivative_stencil(1, -1, basis),
+            lambda: shell_moment_sums(2, 8, basis),
+        ):
+            with pytest.raises(ValueError):
+                call()
+
     def test_coeff_example_depth1(self):
         basis = SopwBasis1D(2, 2)
         table = dict(sopw_fourier_coeffs(1, 0, basis))
@@ -279,6 +293,11 @@ class TestClosedForm:
 
 
 class TestGridTransforms:
+    def test_synthesis_domain_mismatch(self):
+        basis = SopwBasis1D(8, 2)
+        with pytest.raises(ValueError, match="domain"):
+            synthesize_grid(CoeffTensor.zeros(SopwBasis1D(8, 3).domain), 64, basis)
+
     def test_synthesis_matches_closed_form(self):
         basis = SopwBasis1D(8, 1)
         samples = synthesize_grid(delta_tensor(basis, 1, 4), 64, basis)
@@ -361,6 +380,13 @@ class TestGridTransforms:
 
 
 class TestDerivatives:
+    def test_stencil_past_the_cap_rejected(self):
+        basis = SopwBasis1D(8, 3)
+        with pytest.raises(ValueError, match="reaches depth 4"):
+            first_derivative_stencil(3, 0, basis).to_coeff_tensor(basis)
+        # The second derivative stays in its own shell, so the top shell fits.
+        assert second_derivative_stencil(3, 0, basis).to_coeff_tensor(basis).domain == basis.domain
+
     def test_first_same_shell_center_zero(self):
         basis = SopwBasis1D(8, 3)
         stencil = first_derivative_stencil(2, 3, basis)
