@@ -50,7 +50,7 @@ from .projection import (
 from .sopw import (
     SopwBasis1D,
     _check_element,
-    band_slots,
+    band_map,
     sopw_fourier_coeffs,
     synthesize_grid,
     verify_variational_certificate,
@@ -291,7 +291,7 @@ def cmd_sopw(args) -> int:
     for k in depths:
         _check_element(k, shift_idx, basis, basis.depth_cap)
     if args.plot:
-        band_slots(basis, args.grid)  # AliasingError before any file is written
+        band_map(basis, args.grid)  # AliasingError before any file is written
 
     written = {}
     if args.table:
@@ -353,7 +353,7 @@ def cmd_cpw(args) -> int:
         init=args.init,
         seed=args.seed,
     )
-    band_slots(basis, args.grid)  # AliasingError before any file is written
+    band_map(basis, args.grid)  # AliasingError before any file is written
     os.makedirs(args.outdir, exist_ok=True)
     mode_set = CpwModeSet(basis)
     period = float(basis.num_shifts)
@@ -384,6 +384,9 @@ def cmd_cpw(args) -> int:
                 "support_fraction": diag.support_fraction,
                 "energy": float(diag.energy_history[-1]),
                 "max_analysis_residual": diag.max_analysis_residual,
+                "primal_residual_v": float(diag.primal_v_history[-1]),
+                "primal_residual_u": float(diag.primal_u_history[-1]),
+                "dual_residual": float(diag.dual_history[-1]),
             }
         )
 

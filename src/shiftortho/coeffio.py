@@ -59,7 +59,8 @@ def _index_base(domain: LatticeDomain) -> list[int]:
 
 def write_coeff_file(path, tensor: CoeffTensor) -> None:
     """Write a tensor in canonical order; kind is 'real' when imag is all zero."""
-    kind = "real" if not tensor.data.imag.any() else "complex"
+    # Dtype first: ``.imag`` of float data is a fresh array of zeros.
+    kind = "complex" if np.iscomplexobj(tensor.data) and tensor.data.imag.any() else "real"
     domain = tensor.domain
     width = 2 * domain.d
     template = ",".join(["%d"] * width + ["%.17g"] * 2) + "\n"

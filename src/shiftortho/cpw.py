@@ -37,7 +37,7 @@ from .projection import (
     is_shift_orthogonal,
     normalize_columns,
 )
-from .sopw import SopwBasis1D, analyze_spectrum, band_slots, synthesize_spectrum
+from .sopw import SopwBasis1D, analyze_spectrum, band_map, synthesize_spectrum
 
 # Not called by the loop, but kept importable from this module:
 # perfbench/spans.py rebinds these names here when it traces a solve.
@@ -47,6 +47,9 @@ from .sopw import analyze_grid, synthesize_grid  # noqa: F401
 
 _SUPPORT_LEVEL = 1e-3
 _TINY = np.finfo(float).tiny
+
+# Iterations whose diagnostics are reduced together from fixed row buffers.
+_BLOCK = 64
 
 # Stability margin of the default Bregman penalties over the kinetic
 # curvature at the top of the target shell.  Found empirically: margins
@@ -134,6 +137,11 @@ class CpwDiagnostics:
     max_analysis_residual: float
     # Upper bound on the largest imaginary part of the projected field.
     max_imag: float
+    # ADMM residuals (Boyd et al. 2011, sec. 3.3): primal |psi - v| / |v| and
+    # |psi - u| / |psi|, dual lam |u - u_prev| + r |v - v_prev| (L2 norm).
+    primal_v_history: np.ndarray
+    primal_u_history: np.ndarray
+    dual_history: np.ndarray
 
 
 class CpwModeSet:
@@ -185,21 +193,22 @@ def cpw_energy(psi: np.ndarray, mu: float, length: float) -> float:
     """
     psi = np.asarray(psi)
     symbol = _kinetic_symbol(psi.shape[0], length)
-    return _energy(psi, np.fft.fft(psi), symbol, mu, length)
+    return float(_energy(psi, np.fft.fft(psi), symbol, mu, length))
 
 
 def _energy(samples: np.ndarray, spectrum: np.ndarray, symbol: np.ndarray,
-            mu: float, length: float) -> float:
+            mu: float, length: float):
     """:func:`cpw_energy` given the samples' (unnormalized) FFT as well.
 
-    ``spectrum`` and ``symbol`` may be restricted to any set of grid modes
-    that holds every nonzero FFT value, such as the band slots.
+    Works along the last axis, row by row.  ``spectrum`` and ``symbol``
+    may be restricted to any set of grid modes that holds every nonzero
+    FFT value, such as the band slots.
     """
-    grid_size = samples.shape[0]
-    kinetic = (length / grid_size**2) * float(symbol @ np.abs(spectrum) ** 2)
+    grid_size = samples.shape[-1]
+    kinetic = (length / grid_size**2) * (np.abs(spectrum) ** 2 * symbol).sum(axis=-1)
     if math.isinf(mu):
         return kinetic
-    l1 = (length / grid_size) * float(np.abs(samples).sum())
+    l1 = (length / grid_size) * np.abs(samples).sum(axis=-1)
     return l1 / mu + kinetic
 
 
@@ -212,17 +221,21 @@ def support_fraction(samples: np.ndarray) -> float:
     return float(np.count_nonzero(magnitude > _SUPPORT_LEVEL * peak)) / samples.shape[0]
 
 
-def _imag_bound(band_spectrum: np.ndarray, grid_size: int) -> float:
+def _imag_bound(band_spectrum: np.ndarray, grid_size: int):
     """Upper bound on ``max |Im ifft(spectrum)|`` for a band-supported spectrum.
 
     ``band_spectrum`` holds the (unnormalized) grid FFT values of modes
-    ``-band..band`` in order, all others being zero.  The imaginary part of
-    the inverse FFT is ``1/(2i n)`` times the sum over modes of
-    ``c(k) - conj c(-k)`` times a unit phase, so its magnitude is at most
-    the sum of those differences' magnitudes over ``2n``.
+    ``-band..band`` along its last axis, all others being zero.  The
+    imaginary part of the inverse FFT is ``1/(2i n)`` times the sum over
+    modes of ``c(k) - conj c(-k)`` times a unit phase, so its magnitude is
+    at most the sum of those differences' magnitudes over ``2n``.
     """
-    mirror = band_spectrum[::-1].conj()
-    return float(np.abs(band_spectrum - mirror).sum()) / (2 * grid_size)
+    mirror = band_spectrum[..., ::-1].conj()
+    return np.abs(band_spectrum - mirror).sum(axis=-1) / (2 * grid_size)
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 
 def _initial_field(cfg: CpwConfig, basis: SopwBasis1D, grid_size: int) -> np.ndarray:
@@ -256,14 +269,15 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D):
     period = float(basis.num_shifts)
     threshold = 0.0 if math.isinf(mu) else 1.0 / (lam * mu)
     symbol = _kinetic_symbol(grid_size, period)
-    # The Helmholtz division, folded into the two penalty weights.
-    lam_h = lam / (symbol + lam + r)
-    r_h = r / (symbol + lam + r)
+    # The Helmholtz division, folded into the two penalty weights; complex,
+    # so that their products with spectra skip a cast on every iteration.
+    lam_h = (lam / (symbol + lam + r)).astype(np.complex128)
+    r_h = (r / (symbol + lam + r)).astype(np.complex128)
     mode_columns = prev.span.columns
     eps = DEFAULT_CONFIG.resolve_eps(domain)
-    slots = band_slots(basis, grid_size)
-    band_symbol = symbol[slots]
-    band_r_h = r_h[slots]
+    bands = band_map(basis, grid_size)
+    band_symbol = symbol[bands.slots]
+    band_r_h = r_h[bands.slots]
     # The modes are fixed for the solve, so the deflation stage of the
     # column kernel becomes one batched product with the per-frequency
     # projectors I - Q_j Q_j^H (shift_count x depth x depth).
@@ -273,71 +287,96 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D):
         projector = np.eye(domain.depth_count) - q @ q.conj().transpose(0, 2, 1)
 
     def project(spectrum):
-        """Band spectrum of the projected field, its unit columns, the analysis residual."""
-        columns, residual = analyze_spectrum(spectrum, slots, basis)
+        """Projected field's band spectrum, its unit columns, squared analysis residual."""
+        columns, squared = analyze_spectrum(spectrum, bands)
         if projector is not None:
             columns = np.ascontiguousarray((projector @ columns.T[:, :, None])[:, :, 0].T)
         normalize_columns(columns, eps, DEFAULT_CONFIG.fallback_vector, mode_columns)
-        return synthesize_spectrum(columns, grid_size, basis), columns, residual
+        return synthesize_spectrum(columns, bands), columns, squared
+
+    # Row i holds iteration i of a block (psi + i v as the inverse FFT wrote
+    # it, u, v's band values); row 0 carries the row before, for the dual.
+    fields = np.empty((_BLOCK + 1, grid_size), dtype=np.complex128)
+    u_rows = np.empty((_BLOCK + 1, grid_size))
+    band_rows = np.empty((_BLOCK + 1, bands.slots.size), dtype=np.complex128)
+    blocks = []
+
+    def reduce_block(last):
+        """Append the diagnostics of rows ``1..last``; carry row ``last`` to row 0."""
+        psi, v, u = fields[: last + 1].real, fields[: last + 1].imag, u_rows[: last + 1]
+        blocks.append((
+            _energy(v[1:], band_rows[1 : last + 1], band_symbol, mu, period),
+            _imag_bound(band_rows[1 : last + 1], grid_size).max(keepdims=True),
+            _row_norms(psi[1:] - v[1:]) / _row_norms(v[1:]),
+            _row_norms(psi[1:] - u[1:]) / _row_norms(psi[1:]),
+            math.sqrt(period / grid_size)
+            * (lam * _row_norms(np.diff(u, axis=0)) + r * _row_norms(np.diff(v, axis=0))),
+        ))
+        fields[0], u_rows[0] = fields[last], u_rows[last]
 
     # The projected spectrum v_hat is zero off the band slots, so only its
     # band values v_band are kept.
     v_band, unit, _ = project(np.fft.fft(_initial_field(cfg, basis, grid_size)))
     v_hat = np.zeros(grid_size, dtype=np.complex128)
-    v_hat[slots] = v_band
-    psi = np.fft.ifft(v_hat).real
-    u = psi
+    v_hat[bands.slots] = v_band
+    psi = u = np.fft.ifft(v_hat).real
+    fields[0], u_rows[0] = psi + 1j * psi, psi
     D = np.zeros(grid_size)
     B_hat = np.zeros(grid_size, dtype=np.complex128)
-    energy_history = []
     rel_change_history = []
     converged = False
-    max_residual = 0.0
-    max_imag = 0.0
+    max_squared = 0.0
     for iteration in range(1, cfg.max_iter + 1):
+        row = (iteration - 1) % _BLOCK + 1
+        if row == 1 and iteration > 1:
+            reduce_block(_BLOCK)
         previous_psi = psi
         psi_hat = lam_h * np.fft.fft(u - D) - r_h * B_hat
-        psi_hat[slots] += band_r_h * v_band
+        psi_hat[bands.slots] += band_r_h * v_band
 
         w_hat = psi_hat + B_hat
-        v_band, unit, residual = project(w_hat)
-        max_residual = max(max_residual, residual)
-        max_imag = max(max_imag, _imag_bound(v_band, grid_size))
+        v_band, unit, squared = project(w_hat)
+        max_squared = max(max_squared, squared)
+        band_rows[row] = v_band
         B_hat = w_hat
-        B_hat[slots] -= v_band
+        B_hat[bands.slots] -= v_band
 
         # psi and v are real, so one inverse FFT of psi_hat + i v_hat
         # carries psi in its real part and v in its imaginary part.
-        psi_hat[slots] += 1j * v_band
-        fields = np.fft.ifft(psi_hat)
-        psi, v = fields.real, fields.imag
+        psi_hat[bands.slots] += 1j * v_band
+        psi = np.fft.ifft(psi_hat, out=fields[row]).real
 
         w = psi + D
         u = shrink(w, threshold)
+        u_rows[row] = u
         D = w - u
 
         step = psi - previous_psi
         denominator = max(math.sqrt(psi @ psi), _TINY)
         rel_change = math.sqrt(step @ step) / denominator
         rel_change_history.append(rel_change)
-        energy_history.append(_energy(v, v_band, band_symbol, mu, period))
         if rel_change <= cfg.tol:
             converged = True
             break
+    v = fields[row].imag.copy()
+    reduce_block(row)
+    energy, imag, primal_v, primal_u, dual = map(np.concatenate, zip(*blocks))
 
     coeffs = b_inverse(CoeffTensor(domain, unit.reshape(-1)))
     report = is_shift_orthogonal(coeffs)
-    v = np.ascontiguousarray(v)
     mode = CpwMode(coeffs=coeffs, samples=v)
     diagnostics = CpwDiagnostics(
         converged=converged,
         iterations=iteration,
         final_violation=report.max_constraint_violation,
-        energy_history=np.asarray(energy_history),
+        energy_history=energy,
         rel_change_history=np.asarray(rel_change_history),
         support_fraction=support_fraction(v),
-        max_analysis_residual=max_residual,
-        max_imag=max_imag,
+        max_analysis_residual=math.sqrt(max_squared),
+        max_imag=float(imag.max()),
+        primal_v_history=primal_v,
+        primal_u_history=primal_u,
+        dual_history=dual,
     )
     return mode, diagnostics
 

@@ -119,24 +119,30 @@ def sopw_fourier_coeffs(k: int, j: int, basis: SopwBasis1D):
 
 
 @dataclass(frozen=True)
-class _BandTables:
-    """Two-term gathers between band modes and B-transform columns.
+class BandMap:
+    """Two-term gathers between the band modes of a source array and B-transform columns.
 
-    Every mode of the band ``|n| <= band_limit`` belongs to one shell as
+    The source (band coefficients, or a grid FFT) holds mode ``n`` at
+    ``slots[n + band_limit]``.  Every band mode belongs to one shell as
     interior or upper edge and, if it is an edge, also to the next shell
     (shell ``depth_cap + 1`` is the virtual one above the cap).  Mode ``n``
     feeds transform column ``j = -n mod L`` of each shell owning it, so
     every (shell, column) slot has one interior mode or the two edge modes
     ``+-n`` as sources, and every mode has one or two slots.  Rows of
-    ``*_src`` index the source array; the matching ``*_weight`` entries are
-    zero where a slot or mode has a single partner.  Analysis weights are
-    ``L`` times the conjugate synthesis coefficients.
+    ``*_src`` index the source or the flat columns; ``*_weight`` is zero
+    where a slot or mode has a single partner.  Analysis weights are ``L``
+    times the conjugate synthesis coefficients; both include the source's
+    scale.  Off-band source entries (``outside``) count ``outside_weight``
+    times their squared magnitude in the squared analysis residual.
     """
 
-    gather_src: np.ndarray  # (2, depth_cap + 1, L) into band modes
+    slots: np.ndarray
+    gather_src: np.ndarray  # (2, depth_cap + 1, L) into the source
     gather_weight: np.ndarray
     scatter_src: np.ndarray  # (2, band size) into flat (depth_cap, L) columns
     scatter_weight: np.ndarray
+    outside: slice
+    outside_weight: float
 
 
 def _pair_table(targets: np.ndarray, sources: np.ndarray, weights: np.ndarray,
@@ -155,7 +161,7 @@ def _pair_table(targets: np.ndarray, sources: np.ndarray, weights: np.ndarray,
 
 
 @lru_cache(maxsize=64)
-def _band_tables(basis: SopwBasis1D) -> _BandTables:
+def _band_tables(basis: SopwBasis1D) -> BandMap:
     num_shifts, depth_cap = basis.num_shifts, basis.depth_cap
     band = basis.band_limit
     # One entry per (shell, band mode) pair: the shift-0 coefficient of the
@@ -174,12 +180,47 @@ def _band_tables(basis: SopwBasis1D) -> _BandTables:
     scatter_src, scatter_weight = _pair_table(
         modes[in_cap], slots[in_cap], coeffs[in_cap], 2 * band + 1
     )
-    return _BandTables(
-        gather_src=gather_src.reshape(2, depth_cap + 1, num_shifts),
-        gather_weight=gather_weight.reshape(2, depth_cap + 1, num_shifts),
-        scatter_src=scatter_src,
-        scatter_weight=scatter_weight,
-    )
+    shape = (2, depth_cap + 1, num_shifts)
+    return BandMap(np.arange(2 * band + 1), gather_src.reshape(shape),
+                   gather_weight.reshape(shape), scatter_src, scatter_weight, slice(0), 0.0)
+
+
+def band_map(basis: SopwBasis1D, grid_size: int) -> BandMap:
+    """The :class:`BandMap` of unnormalized grid FFTs of ``grid_size`` samples."""
+    band = basis.band_limit
+    if grid_size < 2 * band + 1:
+        raise AliasingError(f"grid size {grid_size} below Nyquist requirement {2 * band + 1}")
+    slots = np.mod(np.arange(-band, band + 1), grid_size)
+    tabs = _band_tables(basis)
+    # Grid FFT values on the band times this are basis Fourier coefficients.
+    to_band = math.sqrt(basis.num_shifts) / grid_size
+    return BandMap(slots, slots[tabs.gather_src], to_band * tabs.gather_weight,
+                   tabs.scatter_src, tabs.scatter_weight / to_band,
+                   slice(band + 1, grid_size - band), to_band**2)
+
+
+def analyze_spectrum(source: np.ndarray, bands: BandMap):
+    """B-transform columns of the basis expansion of the band modes in ``source``.
+
+    Returns ``(columns, squared_residual)``.  Column ``j`` of shell ``k`` is
+    ``L`` times the sum of the conjugate shell-``k`` weights times ``a(n)``
+    over the modes ``n = -j mod L`` that shell owns, so no FFT is needed.
+    The residual is what the expansion drops: the part on the shell above
+    the cap (which shares the topmost edge modes) and the off-band entries.
+    """
+    terms = bands.gather_weight * source[bands.gather_src]
+    full = terms[0] + terms[1]
+    outside = source[bands.outside]
+    # The cap row, full[-1], holds one column per shift.
+    squared = (np.vdot(full[-1], full[-1]).real / full.shape[1]
+               + bands.outside_weight * np.vdot(outside, outside).real)
+    return full[:-1], squared
+
+
+def synthesize_spectrum(columns: np.ndarray, bands: BandMap) -> np.ndarray:
+    """Band mode values, in order ``-band_limit..band_limit``, of the field with ``columns``."""
+    terms = bands.scatter_weight * columns.reshape(-1)[bands.scatter_src]
+    return terms[0] + terms[1]
 
 
 def gather_columns(coeffs: np.ndarray, basis: SopwBasis1D):
@@ -188,19 +229,12 @@ def gather_columns(coeffs: np.ndarray, basis: SopwBasis1D):
     ``coeffs`` holds ``a(n)`` for ``n = -band_limit..band_limit``.  Returns
     ``(columns, residual)``: the ``depth_cap x num_shifts`` B-transform
     columns of the function's basis coefficients, and the norm of the part
-    on the shell above the cap (the topmost edge modes are shared with that
-    shell, so part of them cannot be represented).  Column ``j`` of shell
-    ``k`` is ``L`` times the sum of the conjugate shell-``k`` weights times
-    ``a(n)`` over the modes ``n = -j mod L`` that shell owns, so no FFT is
-    needed.
+    on the shell above the cap (:func:`analyze_spectrum`).
     """
     if np.shape(coeffs) != (2 * basis.band_limit + 1,):
         raise ValueError(f"expected {2 * basis.band_limit + 1} band coefficients")
-    tabs = _band_tables(basis)
-    full = (tabs.gather_weight * coeffs[tabs.gather_src]).sum(axis=0)
-    cap = full[-1]
-    residual = math.sqrt(np.vdot(cap, cap).real / basis.num_shifts)
-    return full[:-1], residual
+    columns, squared = analyze_spectrum(np.asarray(coeffs), _band_tables(basis))
+    return columns, math.sqrt(squared)
 
 
 def scatter_columns(columns: np.ndarray, basis: SopwBasis1D) -> np.ndarray:
@@ -214,44 +248,7 @@ def scatter_columns(columns: np.ndarray, basis: SopwBasis1D) -> np.ndarray:
         raise ValueError(
             f"expected {basis.depth_cap} x {basis.num_shifts} transform columns"
         )
-    tabs = _band_tables(basis)
-    flat = np.reshape(columns, -1)
-    return (tabs.scatter_weight * flat[tabs.scatter_src]).sum(axis=0)
-
-
-def band_slots(basis: SopwBasis1D, grid_size: int) -> np.ndarray:
-    """FFT positions of the band modes ``-band_limit..band_limit`` on the grid."""
-    band = basis.band_limit
-    if grid_size < 2 * band + 1:
-        raise AliasingError(
-            f"grid size {grid_size} below Nyquist requirement {2 * band + 1}"
-        )
-    return np.mod(np.arange(-band, band + 1), grid_size)
-
-
-def analyze_spectrum(spectrum: np.ndarray, slots: np.ndarray, basis: SopwBasis1D):
-    """B-transform columns of the basis expansion of a grid field.
-
-    ``spectrum`` is the unnormalized FFT of the field's samples and
-    ``slots`` its :func:`band_slots`.  Returns ``(columns, residual)``: the
-    residual is the norm of what the expansion drops, the grid modes
-    outside the band together with the above-cap part of the topmost edge
-    modes.
-    """
-    grid_size = spectrum.shape[0]
-    band = basis.band_limit
-    # Grid FFT values on the band times this are basis Fourier coefficients.
-    to_band = math.sqrt(basis.num_shifts) / grid_size
-    columns, cap_residual = gather_columns(to_band * spectrum[slots], basis)
-    outside = spectrum[band + 1 : grid_size - band]
-    out_of_band = to_band * math.sqrt(np.vdot(outside, outside).real)
-    return columns, math.hypot(out_of_band, cap_residual)
-
-
-def synthesize_spectrum(columns: np.ndarray, grid_size: int,
-                        basis: SopwBasis1D) -> np.ndarray:
-    """Unnormalized grid FFT values, on the band slots, of the field with ``columns``."""
-    return scatter_columns(columns, basis) / (math.sqrt(basis.num_shifts) / grid_size)
+    return synthesize_spectrum(np.asarray(columns), _band_tables(basis))
 
 
 def eval_closed_form(k: int, j: int, x: float, basis: SopwBasis1D) -> float:
@@ -292,9 +289,9 @@ def synthesize_grid(t: CoeffTensor, grid_size: int, basis: SopwBasis1D) -> np.nd
     """Samples of the represented function at ``m * period / grid_size``."""
     if t.domain != basis.domain:
         raise ValueError("tensor domain does not match basis")
-    slots = band_slots(basis, grid_size)
+    bands = band_map(basis, grid_size)
     spectrum = np.zeros(grid_size, dtype=np.complex128)
-    spectrum[slots] = synthesize_spectrum(b_transform(t).columns, grid_size, basis)
+    spectrum[bands.slots] = synthesize_spectrum(b_transform(t).columns, bands)
     return np.fft.ifft(spectrum)
 
 
@@ -305,9 +302,9 @@ def analyze_grid(samples: np.ndarray, basis: SopwBasis1D):
     :func:`analyze_spectrum`.
     """
     samples = np.ascontiguousarray(samples)
-    slots = band_slots(basis, samples.shape[0])
-    columns, residual = analyze_spectrum(np.fft.fft(samples), slots, basis)
-    return b_inverse(CoeffTensor(basis.domain, columns)), residual
+    bands = band_map(basis, samples.shape[0])
+    columns, squared = analyze_spectrum(np.fft.fft(samples), bands)
+    return b_inverse(CoeffTensor(basis.domain, columns)), math.sqrt(squared)
 
 
 @dataclass(frozen=True)

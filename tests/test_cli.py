@@ -103,10 +103,16 @@ class TestCoeffFile:
     def test_real_kind_detection(self, tmp_path):
         rng = np.random.default_rng(2)
         tensor = random_real_tensor(LatticeDomain((4,), (2,)), rng)
+        # complex128 storage whose imaginary parts are all (signed) zero,
+        # which only the unchecked constructor builds
+        data = tensor.data.astype(np.complex128)
+        data.imag[::2] = -0.0
+        stored_complex = CoeffTensor._trusted(tensor.domain, data)
         path = tmp_path / "r.csv"
-        write_coeff_file(path, tensor)
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header["kind"] == "real"
+        for written in (tensor, stored_complex):
+            write_coeff_file(path, written)
+            header = json.loads(path.read_text().splitlines()[0])
+            assert header["kind"] == "real"
 
     def test_parse_error_carries_row(self, tmp_path):
         path = tmp_path / "bad.csv"

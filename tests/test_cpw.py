@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from shiftortho import (
     solve_cpw_modes,
     support_fraction,
 )
-from shiftortho.cpw import _imag_bound
+from shiftortho.cpw import _energy, _imag_bound, _kinetic_symbol
 from util import gram_shift, grid_bregman_reference, theta_energy
 
 
@@ -230,13 +231,58 @@ class TestLoopBudget:
         assert diag.iterations == iterations
         assert len(calls) == 2 * iterations + self.SETUP_FFTS
 
+    # Diagnostics are reduced in blocks of 64 iterations: stops before,
+    # on and after a block edge.
+    @pytest.mark.parametrize("max_iter", [1, 64, 65, 128])
     @pytest.mark.parametrize("mu", [0.5, math.inf])
-    def test_last_energy_is_energy_of_returned_samples(self, mu):
+    def test_last_energy_is_energy_of_returned_samples(self, mu, max_iter):
         basis = SopwBasis1D(8, 4)
-        cfg = CpwConfig(mu=mu, grid_size=128, tol=1e-30, max_iter=30)
+        cfg = CpwConfig(mu=mu, grid_size=128, tol=1e-30, max_iter=max_iter)
         mode, diag = solve_cpw_mode(None, cfg, basis)
+        assert len(diag.energy_history) == max_iter
         expected = cpw_energy(mode.samples, mu, float(basis.num_shifts))
         assert abs(diag.energy_history[-1] - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("mu", [0.5, math.inf])
+    def test_row_batched_diagnostics_equal_per_row_calls(self, mu):
+        rng = np.random.default_rng(6)
+        band, grid_size, rows = 24, 128, 5
+        samples = rng.standard_normal((rows, grid_size))
+        band_spectra = (rng.standard_normal((rows, 2 * band + 1))
+                        + 1j * rng.standard_normal((rows, 2 * band + 1)))
+        symbol = _kinetic_symbol(grid_size, 8.0)[np.mod(np.arange(-band, band + 1), grid_size)]
+        energies = _energy(samples, band_spectra, symbol, mu, 8.0)
+        bounds = _imag_bound(band_spectra, grid_size)
+        for row in range(rows):
+            assert energies[row] == _energy(samples[row], band_spectra[row], symbol, mu, 8.0)
+            assert bounds[row] == _imag_bound(band_spectra[row], grid_size)
+
+    def test_returned_samples_are_an_owned_copy(self):
+        basis = SopwBasis1D(8, 4)
+        cfg = CpwConfig(grid_size=128, tol=1e-30, max_iter=70)
+        mode, _ = solve_cpw_mode(None, cfg, basis)
+        assert mode.samples.flags.c_contiguous and mode.samples.flags.owndata
+        kept = mode.samples.copy()
+        solve_cpw_mode(None, CpwConfig(grid_size=128, tol=1e-30, max_iter=40), basis)
+        assert np.array_equal(mode.samples, kept)
+
+    def test_memory_does_not_grow_with_max_iter(self):
+        # The loop's buffers are fixed; only the histories (a few floats
+        # per iteration) may grow.  Rows kept per iteration would add
+        # 1800 x (128 complex + 128 real) samples here, about 5.5 MiB.
+        basis = SopwBasis1D(8, 4)
+        solve_cpw_mode(None, CpwConfig(grid_size=128, max_iter=2), basis)  # fill caches
+        peaks = []
+        for max_iter in (200, 2000):
+            cfg = CpwConfig(grid_size=128, tol=1e-30, max_iter=max_iter)
+            tracemalloc.start()
+            try:
+                _, diag = solve_cpw_mode(None, cfg, basis)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert diag.iterations == max_iter
+        assert peaks[1] - peaks[0] < 256 * 1024
 
     @pytest.mark.parametrize("seed", range(4))
     def test_imag_bound_covers_inverse_fft(self, seed):
@@ -258,20 +304,38 @@ class TestLoopBudget:
 class TestAgainstGridReference:
     """The bucket-coordinate loop against the tensor round trip it replaced."""
 
-    @pytest.mark.parametrize("prior_modes", [0, 1])
-    def test_fifty_iterations(self, prior_modes):
+    @staticmethod
+    def run_both(prior_modes, max_iter):
         basis = SopwBasis1D(8, 4)
         prev = CpwModeSet(basis)
         if prior_modes:
             first, _ = solve_cpw_mode(None, CpwConfig(grid_size=128), basis)
             prev.add(first)
-        cfg = CpwConfig(grid_size=128, tol=1e-30, max_iter=50)
+        cfg = CpwConfig(grid_size=128, tol=1e-30, max_iter=max_iter)
         mode, diag = solve_cpw_mode(prev, cfg, basis)
-        coeffs, samples, energies = grid_bregman_reference(prev, cfg, basis)
-        assert diag.iterations == 50
+        coeffs, samples, energies, residuals = grid_bregman_reference(prev, cfg, basis)
+        assert diag.iterations == max_iter
         assert np.abs(mode.samples - samples).max() <= 1e-10
         assert np.abs(mode.coeffs.data - coeffs.data).max() <= 1e-10
         assert np.all(np.abs(diag.energy_history - energies) <= 1e-12 * np.abs(energies))
+        return diag, residuals
+
+    @pytest.mark.parametrize("prior_modes", [0, 1])
+    def test_fifty_iterations(self, prior_modes):
+        self.run_both(prior_modes, 50)
+
+    def test_across_block_edges(self):
+        # 130 iterations cross two edges of the loop's 64-iteration
+        # diagnostic blocks.  Without prior modes only: with one, the two
+        # loops' rounding differences grow by about 12% per iteration
+        # (samples 1e-14 apart at 50 iterations, 2e-10 to 8e-10 at 130).
+        self.run_both(0, 130)
+
+    @pytest.mark.parametrize("prior_modes,max_iter", [(0, 130), (1, 50)])
+    def test_residual_histories(self, prior_modes, max_iter):
+        diag, residuals = self.run_both(prior_modes, max_iter)
+        loop = np.column_stack([diag.primal_v_history, diag.primal_u_history, diag.dual_history])
+        assert np.abs(loop - residuals).max() <= 1e-12
 
 
 class TestConfigAndModeSet:

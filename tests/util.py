@@ -342,7 +342,10 @@ def grid_bregman_reference(prev, cfg, basis):
     then ``analyze_grid``, ``project_sso`` (``project_sso_orth`` against the
     modes in ``prev``), ``synthesize_grid``, the shrink and the Bregman
     updates; no convergence test.  Returns ``(coeffs, samples,
-    energy_history)`` of the last projection.
+    energy_history, residual_history)`` of the last projection; the rows of
+    ``residual_history`` are each step's ``|psi - v| / |v|``,
+    ``|psi - u| / |psi|`` and ``lam |u - u_prev| + r |v - v_prev|`` (L2
+    norms over one period).
     """
     modes = [mode.coeffs for mode in prev.modes]
 
@@ -357,12 +360,19 @@ def grid_bregman_reference(prev, cfg, basis):
     _, psi = project(_initial_field(cfg, basis, grid_size))
     u, v = psi.copy(), psi.copy()
     D, B = np.zeros(grid_size), np.zeros(grid_size)
-    energies = []
+    scale = math.sqrt(period / grid_size)
+    energies, residuals = [], []
     for _ in range(cfg.max_iter):
+        u_prev, v_prev = u, v
         psi = helmholtz_solve(lam * (u - D) + r * (v - B), lam, r, period)
         projected, v = project(psi + B)
         u = shrink(psi + D, threshold)
         D = D + psi - u
         B = B + psi - v
         energies.append(cpw_energy(v, mu, period))
-    return projected, v, np.asarray(energies)
+        residuals.append((
+            np.linalg.norm(psi - v) / np.linalg.norm(v),
+            np.linalg.norm(psi - u) / np.linalg.norm(psi),
+            scale * (lam * np.linalg.norm(u - u_prev) + r * np.linalg.norm(v - v_prev)),
+        ))
+    return projected, v, np.asarray(energies), np.asarray(residuals)
