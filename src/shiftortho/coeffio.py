@@ -7,7 +7,10 @@ significant digits so doubles round-trip exactly.  Rows may arrive in any
 order but must cover every multi-index exactly once; blank lines are
 skipped, and an error names the 1-based line of the file.  The writer emits
 canonical (flat-index) order, which makes write(read(file)) byte-identical
-for canonical files.
+for canonical files.  It formats a block of rows with one ``%`` over a row
+template whose index fields are already text (the leading ones spelled
+once per run of rows), so only the values pass through ``%.17g`` per row;
+a real tensor's imaginary field is a literal 0.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 from .lattice import CoeffTensor, LatticeDomain, _storage_dtype, flatten
 
 SCHEMA_VERSION = 1
+# Rows per ``%`` call: bounds the floats and row prefix strings one call holds.
 _ROWS_PER_FORMAT = 1 << 12
 
 
@@ -59,24 +63,35 @@ def _index_base(domain: LatticeDomain) -> list[int]:
 
 def write_coeff_file(path, tensor: CoeffTensor) -> None:
     """Write a tensor in canonical order; kind is 'real' when imag is all zero."""
+    data = tensor.data
     # Dtype first: ``.imag`` of float data is a fresh array of zeros.
-    kind = "complex" if np.iscomplexobj(tensor.data) and tensor.data.imag.any() else "real"
+    complex_storage = np.iscomplexobj(data)
+    kind = "complex" if complex_storage and data.imag.any() else "real"
     domain = tensor.domain
-    width = 2 * domain.d
-    template = ",".join(["%d"] * width + ["%.17g"] * 2) + "\n"
+    shape, base = domain.grid_shape, _index_base(domain)
+    # The trailing axes whose rows fit in a block are spelled out once as
+    # row templates; each run of those rows takes one prefix string for the
+    # leading axes (at least the first).  A real value's imaginary field is 0.
+    lead = len(shape)
+    while lead > 1 and math.prod(shape[lead - 1 :]) <= _ROWS_PER_FORMAT:
+        lead -= 1
+    rows = [",%.17g,%.17g\n" if complex_storage else ",%.17g,0\n"]
+    for n, b in zip(reversed(shape[lead:]), reversed(base[lead:])):
+        rows = [f",{i}" + row for i in range(b, b + n) for row in rows]
+    run = len(rows)
+    run_count, runs_per_block = domain.size // run, _ROWS_PER_FORMAT // run
+    values = data.view(np.float64).reshape(domain.size, -1)
+    lead_fields = ",".join(["%d"] * lead)
     with open(path, "w", encoding="ascii") as handle:
         handle.write(_header(domain, kind) + "\n")
-        # Blocks of rows bound the Python objects that one ``%`` needs.
-        for start in range(0, domain.size, _ROWS_PER_FORMAT):
-            block = tensor.data[start : start + _ROWS_PER_FORMAT]
-            flat = np.arange(start, start + len(block))
-            table = np.empty((len(block), width + 2), dtype=object)
-            table[:, :width] = (
-                np.column_stack(np.unravel_index(flat, domain.grid_shape)) + _index_base(domain)
-            )
-            table[:, width] = block.real
-            table[:, width + 1] = block.imag
-            handle.write(format_rows(template, table))
+        for first in range(0, run_count, runs_per_block):
+            runs = np.arange(first, min(first + runs_per_block, run_count))
+            index = np.column_stack(np.unravel_index(runs, shape[:lead])) + base[:lead]
+            prefixes = "\n".join([lead_fields] * len(runs)) % tuple(index.ravel().tolist())
+            # ``prefix.join`` puts the prefix before every row of the run but the first.
+            template = "".join([prefix + prefix.join(rows) for prefix in prefixes.split("\n")])
+            block = values[first * run : (first + len(runs)) * run]
+            handle.write(template % tuple(block.ravel().tolist()))
 
 
 def _read_lines(path) -> list[str]:

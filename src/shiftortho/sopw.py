@@ -6,12 +6,13 @@ defined through exact Fourier coefficients, so the B-transform columns of
 a basis expansion are the band Fourier coefficients grouped by residue
 class mod the shift count.  Band coefficients are plain arrays over the
 modes ``-band_limit..band_limit``.  This module builds the coefficient
-tables, gathers band coefficients into transform columns and scatters them
-back, analyzes and synthesizes grid spectra with one helper pair (shared by
-the grid transforms and the CPW solver), evaluates the closed pointwise
-forms, expands first/second derivatives over neighbouring shells, and runs
-the numerical primal-dual certificate showing the depth-1 generator
-minimizes kinetic energy among shift-orthogonal functions.
+tables and the band maps between band modes and transform columns,
+analyzes and synthesizes spectra with one helper pair over a band map
+(shared by the grid transforms and the CPW solver), evaluates the closed
+pointwise forms, expands first/second derivatives over neighbouring
+shells, and runs the numerical primal-dual certificate showing the
+depth-1 generator minimizes kinetic energy among shift-orthogonal
+functions.
 
 Only even shift counts are supported; the half-shell edge frequencies that
 make the construction work do not exist for odd counts.
@@ -221,34 +222,6 @@ def synthesize_spectrum(columns: np.ndarray, bands: BandMap) -> np.ndarray:
     """Band mode values, in order ``-band_limit..band_limit``, of the field with ``columns``."""
     terms = bands.scatter_weight * columns.reshape(-1)[bands.scatter_src]
     return terms[0] + terms[1]
-
-
-def gather_columns(coeffs: np.ndarray, basis: SopwBasis1D):
-    """B-transform columns of the basis expansion of band Fourier coefficients.
-
-    ``coeffs`` holds ``a(n)`` for ``n = -band_limit..band_limit``.  Returns
-    ``(columns, residual)``: the ``depth_cap x num_shifts`` B-transform
-    columns of the function's basis coefficients, and the norm of the part
-    on the shell above the cap (:func:`analyze_spectrum`).
-    """
-    if np.shape(coeffs) != (2 * basis.band_limit + 1,):
-        raise ValueError(f"expected {2 * basis.band_limit + 1} band coefficients")
-    columns, squared = analyze_spectrum(np.asarray(coeffs), _band_tables(basis))
-    return columns, math.sqrt(squared)
-
-
-def scatter_columns(columns: np.ndarray, basis: SopwBasis1D) -> np.ndarray:
-    """Band Fourier coefficients of the tensor with B-transform ``columns``.
-
-    Inverse of :func:`gather_columns` inside the cap: the superposition of
-    the sparse per-element Fourier coefficients weighted by the basis
-    coefficients ``b_inverse(columns)``.
-    """
-    if np.shape(columns) != (basis.depth_cap, basis.num_shifts):
-        raise ValueError(
-            f"expected {basis.depth_cap} x {basis.num_shifts} transform columns"
-        )
-    return synthesize_spectrum(np.asarray(columns), _band_tables(basis))
 
 
 def eval_closed_form(k: int, j: int, x: float, basis: SopwBasis1D) -> float:

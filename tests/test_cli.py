@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +26,49 @@ from shiftortho import (
 )
 from shiftortho import cli
 from shiftortho.cli import main
-from shiftortho.coeffio import CoeffFileError, read_coeff_file, write_coeff_file
-from util import random_real_tensor, read_sopw_table, row_by_row_coeff_text, small_domains
+from shiftortho.coeffio import (
+    _ROWS_PER_FORMAT,
+    CoeffFileError,
+    read_coeff_file,
+    write_coeff_file,
+)
+from util import (
+    random_real_tensor,
+    read_sopw_table,
+    row_by_row_coeff_text,
+    small_domains,
+    write_coeff_file_by_table,
+)
 
 HEADER_1D = '{"schema": 1, "d": 1, "L": [2], "N": [1], "kind": "%s"}\n'
 EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1.1125369292536007e-308, 1e308, -1e308,
                1.7976931348623157e308)
+# The complex tensor of TestCoeffFile.test_golden_text, as the writer spells it.
+GOLDEN_COMPLEX = """\
+{"L": [11, 1], "N": [2, 1], "d": 2, "kind": "complex", "schema": 1}
+1,1,0,0,0.10000000000000001,-2.5
+1,1,1,0,-2.5,0
+1,1,2,0,4.9406564584124654e-324,0
+1,1,3,0,1.7976931348623157e+308,0
+1,1,4,0,0,0
+1,1,5,0,0,0
+1,1,6,0,0,0
+1,1,7,0,0,0
+1,1,8,0,0,0
+1,1,9,0,0,0
+1,1,10,0,1,0
+2,1,0,0,-1.0000000000000001e-05,0
+2,1,1,0,0,0
+2,1,2,0,0,0
+2,1,3,0,0,0
+2,1,4,0,0,0
+2,1,5,0,0,0
+2,1,6,0,0,0
+2,1,7,0,0,0
+2,1,8,0,0,0
+2,1,9,0,0,0
+2,1,10,0,3,0.10000000000000001
+"""
 
 
 def read_error(path, text):
@@ -113,6 +151,74 @@ class TestCoeffFile:
             write_coeff_file(path, written)
             header = json.loads(path.read_text().splitlines()[0])
             assert header["kind"] == "real"
+
+    def test_golden_text(self, tmp_path):
+        # Multi-digit indices in canonical order, 17 significant digits and
+        # the kind rule, spelled out: complex storage whose imaginary parts
+        # are all -0.0 is written 'real' with "-0" fields.
+        dom = LatticeDomain((11, 1), (2, 1))
+        real = np.zeros(dom.size)
+        real[[0, 1, 2, 3, 10, 11, 21]] = [0.1, -2.5, 5e-324, 1.7976931348623157e308,
+                                          1.0, -1e-5, 3.0]
+        imag = np.zeros(dom.size)
+        imag[[0, 21]] = [-2.5, 0.1]
+        negative_zero = real.astype(np.complex128)
+        negative_zero.imag = -0.0
+        header, *lines = GOLDEN_COMPLEX.splitlines()
+
+        def real_kind(imag_field):
+            body = [line.rsplit(",", 1)[0] + imag_field for line in lines]
+            return "\n".join([header.replace('"complex"', '"real"'), *body]) + "\n"
+
+        path = tmp_path / "g.csv"
+        for tensor, expected in [
+            (CoeffTensor(dom, real + 1j * imag), GOLDEN_COMPLEX),
+            (CoeffTensor(dom, real), real_kind(",0")),
+            (CoeffTensor._trusted(dom, negative_zero), real_kind(",-0")),
+        ]:
+            write_coeff_file(path, tensor)
+            assert path.read_text() == expected
+
+    def test_bytes_match_object_table_writer(self, tmp_path):
+        # d = 1..3; row counts above one block that do not divide it; runs
+        # that fill a block unevenly; a last axis longer than a block, alone
+        # and under two leading axes.  Real, complex, and complex storage
+        # with all-(-0.0) imaginary parts.
+        rng = np.random.default_rng(16)
+        domains = [
+            LatticeDomain((4099,), (2,)),
+            LatticeDomain((7,), (1000,)),
+            LatticeDomain((16, 16), (8, 3)),
+            LatticeDomain((2, _ROWS_PER_FORMAT + 3), (3, 1)),
+            LatticeDomain((5, 6, 7), (3, 2, 4)),
+        ]
+        ours, oracle = tmp_path / "a.csv", tmp_path / "b.csv"
+        for dom in domains:
+            assert dom.size > _ROWS_PER_FORMAT and dom.size % _ROWS_PER_FORMAT
+            real = rng.standard_normal(dom.size) * 10.0 ** rng.integers(-300, 300, dom.size)
+            negative_zero = real.astype(np.complex128)
+            negative_zero.imag = -0.0
+            for tensor in (CoeffTensor(dom, real),
+                           CoeffTensor(dom, real + 1j * rng.standard_normal(dom.size)),
+                           CoeffTensor._trusted(dom, negative_zero)):
+                write_coeff_file(ours, tensor)
+                write_coeff_file_by_table(oracle, tensor)
+                assert ours.read_bytes() == oracle.read_bytes()
+
+    def test_write_memory_bounded_by_block(self, tmp_path):
+        # A last axis of 2^17 gets its row prefixes one block at a time:
+        # the strings "1,j," for every row alone take about 8 MiB.
+        # Measured peak: 0.8 MiB; the bound is 2 MiB.
+        rng = np.random.default_rng(17)
+        dom = LatticeDomain((2**17,), (1,))
+        tensor = random_tensor(dom, rng)
+        tracemalloc.start()
+        try:
+            write_coeff_file(tmp_path / "line.csv", tensor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_parse_error_carries_row(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -14,10 +14,8 @@ from shiftortho import (
     eval_closed_form,
     first_derivative_stencil,
     flatten,
-    gather_columns,
     project_sso,
     random_tensor,
-    scatter_columns,
     second_derivative_stencil,
     shell_moment_sums,
     sopw_fourier_coeffs,
@@ -27,6 +25,8 @@ from shiftortho import (
 from util import (
     direct_b_inverse,
     direct_b_transform,
+    gather_columns,
+    scatter_columns,
     sopw_analysis_rows,
     sopw_derivative_samples,
     sopw_fourier_vector,

@@ -27,8 +27,17 @@ from shiftortho import (
     sopw_fourier_coeffs,
     synthesize_grid,
 )
-from shiftortho.coeffio import CoeffFileError, _header_object, _read_lines
+from shiftortho.coeffio import (
+    _ROWS_PER_FORMAT,
+    CoeffFileError,
+    _header,
+    _header_object,
+    _index_base,
+    _read_lines,
+    format_rows,
+)
 from shiftortho.cpw import _initial_field
+from shiftortho.sopw import _band_tables, analyze_spectrum, synthesize_spectrum
 
 
 def small_domains(max_axis=8, max_size=4096):
@@ -97,6 +106,30 @@ def row_by_row_coeff_text(tensor: CoeffTensor) -> str:
         fields = [str(i) for i in depth_idx + shift_idx]
         lines.append(",".join(fields + [f"{value.real:.17g}", f"{value.imag:.17g}"]))
     return "\n".join(lines) + "\n"
+
+
+def write_coeff_file_by_table(path, tensor: CoeffTensor) -> None:
+    """The coefficient writer as one object table of ints and floats per block.
+
+    Every row formats its ``2d`` index fields with ``%d`` and both value
+    fields with ``%.17g``; the library writer must produce the same bytes.
+    """
+    kind = "complex" if np.iscomplexobj(tensor.data) and tensor.data.imag.any() else "real"
+    domain = tensor.domain
+    width = 2 * domain.d
+    template = ",".join(["%d"] * width + ["%.17g"] * 2) + "\n"
+    with open(path, "w", encoding="ascii") as handle:
+        handle.write(_header(domain, kind) + "\n")
+        for start in range(0, domain.size, _ROWS_PER_FORMAT):
+            block = tensor.data[start : start + _ROWS_PER_FORMAT]
+            flat = np.arange(start, start + len(block))
+            table = np.empty((len(block), width + 2), dtype=object)
+            table[:, :width] = (
+                np.column_stack(np.unravel_index(flat, domain.grid_shape)) + _index_base(domain)
+            )
+            table[:, width] = block.real
+            table[:, width + 1] = block.imag
+            handle.write(format_rows(template, table))
 
 
 def read_sopw_table(path):
@@ -288,6 +321,34 @@ def sopw_analysis_rows(coeffs: np.ndarray, basis) -> np.ndarray:
                 if abs(n) <= band
             )
     return rows
+
+
+def gather_columns(coeffs: np.ndarray, basis):
+    """B-transform columns of the basis expansion of band Fourier coefficients.
+
+    ``coeffs`` holds ``a(n)`` for ``n = -band_limit..band_limit``.  Returns
+    ``(columns, residual)``: the ``depth_cap x num_shifts`` B-transform
+    columns of the function's basis coefficients, and the norm of the part
+    on the shell above the cap, by the solver's ``analyze_spectrum`` over
+    the band-coefficient map.
+    """
+    if np.shape(coeffs) != (2 * basis.band_limit + 1,):
+        raise ValueError(f"expected {2 * basis.band_limit + 1} band coefficients")
+    columns, squared = analyze_spectrum(np.asarray(coeffs), _band_tables(basis))
+    return columns, math.sqrt(squared)
+
+
+def scatter_columns(columns: np.ndarray, basis) -> np.ndarray:
+    """Band Fourier coefficients of the tensor with B-transform ``columns``.
+
+    Inverse of :func:`gather_columns` inside the cap, by the solver's
+    ``synthesize_spectrum`` over the band-coefficient map.
+    """
+    if np.shape(columns) != (basis.depth_cap, basis.num_shifts):
+        raise ValueError(
+            f"expected {basis.depth_cap} x {basis.num_shifts} transform columns"
+        )
+    return synthesize_spectrum(np.asarray(columns), _band_tables(basis))
 
 
 def sopw_point_sum(k: int, j: int, x: float, basis) -> complex:
