@@ -5,24 +5,24 @@ domain followed by one CSV row per coefficient: the 1-based depth indices,
 the 0-based shift indices, then real and imaginary parts printed with 17
 significant digits so doubles round-trip exactly.  Rows may arrive in any
 order but must cover every multi-index exactly once; blank lines are
-skipped, and an error names the 1-based line of the file.  The writer emits
-canonical (flat-index) order, which makes write(read(file)) byte-identical
-for canonical files.  It formats a block of rows with one ``%`` over a row
-template whose index fields are already text (the leading ones spelled
-once per run of rows), so only the values pass through ``%.17g`` per row;
-a real tensor's imaginary field is a literal 0.
+skipped.  The reader checks each row rule as one mask over the arrays of a
+single parse, and an error names the 1-based line of the file.  The writer
+emits canonical (flat-index) order, which makes write(read(file))
+byte-identical for canonical files.  It formats a block of rows with one
+``%`` over a row template whose index fields are already text (the leading
+ones spelled once per run of rows), so only the values pass through
+``%.17g`` per row; a real tensor's imaginary field is a literal 0.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import NoReturn
 
 import numpy as np
 
-# Only the error-path row walk calls ``flatten``; it is looked up as a module
-# global because ``perfbench/spans.py`` rebinds ``shiftortho.coeffio.flatten``.
+# Only a rejected index calls ``flatten``, for its message; it is looked up as a
+# module global because ``perfbench/spans.py`` rebinds ``shiftortho.coeffio.flatten``.
 from .lattice import CoeffTensor, LatticeDomain, _storage_dtype, flatten
 
 SCHEMA_VERSION = 1
@@ -153,87 +153,87 @@ def _parse_rows(lines: list[str], domain: LatticeDomain) -> np.ndarray:
     return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
-def _bulk_values(body: list[str], domain: LatticeDomain, kind: str) -> np.ndarray | None:
-    """Coefficients of ``domain.size`` non-blank rows, or None if any row is bad."""
-    try:
-        table = _parse_rows(body, domain)
-    except ValueError:
-        return None
-    positions = table["index"]
-    positions -= _index_base(domain)
-    if not ((positions >= 0) & (positions < domain.grid_shape)).all():
-        return None
-    flat = np.ravel_multi_index(tuple(positions.T), domain.grid_shape)
-    values = table["value"]
-    if (
-        np.bincount(flat, minlength=domain.size).max() > 1
-        or not np.isfinite(values).all()
-        or (kind == "real" and values[:, 1].any())
-    ):
-        return None
-    data = np.empty(domain.size, dtype=_storage_dtype(values[:, 1]))
-    # One float64 field per stored value: the real part, or both parts.
-    fields = data.itemsize // 8
-    data.view(np.float64).reshape(-1, fields)[flat] = values[:, :fields]
-    return data
+def _check_rows(table: np.ndarray, domain: LatticeDomain, kind: str):
+    """Flat positions of parsed rows, and the row and message of the first bad one.
 
-
-def _raise_first_bad_row(lines: list[str], domain: LatticeDomain, kind: str) -> NoReturn:
-    """Raise the error of the first bad body row; ``lines`` includes the header."""
-    field_count = 2 * domain.d + 2
-    seen = np.zeros(domain.size, dtype=bool)
-    for row, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != field_count:
-            raise CoeffFileError(f"expected {field_count} fields, found {len(fields)}", row=row)
+    Each rule is an elementwise mask, True where broken, reduced whole; only
+    when one fails are the masks reduced per row (None: every row is good).
+    """
+    positions = table["index"] - _index_base(domain)
+    flat = np.ravel_multi_index(tuple(positions.T), domain.grid_shape, mode="clip")
+    # In the order a row's rules are checked; a repeated index comes second.
+    masks = ((positions < 0) | (positions >= domain.grid_shape), ~np.isfinite(table["value"]),
+             (table["value"][:, 1:] != 0) & (kind == "real"))
+    if not any(mask.any() for mask in masks) and np.bincount(flat).max() < 2:
+        return flat, None
+    # Every row but the first of its index repeats an index.
+    repeat = np.ones(len(flat), dtype=bool)
+    repeat[np.unique(flat, return_index=True)[1]] = False
+    out_of_range, non_finite, imaginary = (mask.any(axis=1) for mask in masks)
+    row = int((out_of_range | repeat | non_finite | imaginary).argmax())
+    index = table["index"][row]
+    if out_of_range[row]:
         try:
-            record = _parse_rows([line], domain)[0]
-        except ValueError:
-            raise CoeffFileError(
-                f"expected {2 * domain.d} integer indices and 2 floats, found {line!r}",
-                row=row,
-            ) from None
-        index, (real, imag) = record["index"], record["value"]
-        try:
-            flat = flatten(domain, index[: domain.d], index[domain.d :])
+            flatten(domain, index[: domain.d], index[domain.d :])
         except IndexError as exc:
-            raise CoeffFileError(str(exc), row=row) from exc
-        if seen[flat]:
-            raise CoeffFileError(
-                f"duplicate entry for index {tuple(int(i) for i in index)}", row=row
-            )
-        seen[flat] = True
-        if not (math.isfinite(real) and math.isfinite(imag)):
-            raise CoeffFileError("coefficients must be finite", row=row)
-        if kind == "real" and imag:
-            raise CoeffFileError("kind is 'real' but the imaginary part is nonzero", row=row)
-    # Reached only if the bulk checks reject a body that the row checks accept.
-    raise CoeffFileError("malformed coefficient rows")
+            return flat, (row, str(exc))
+    if repeat[row]:
+        return flat, (row, f"duplicate entry for index {tuple(int(i) for i in index)}")
+    if non_finite[row]:
+        return flat, (row, "coefficients must be finite")
+    return flat, (row, "kind is 'real' but the imaginary part is nonzero")
+
+
+def _first_unparsable_row(body: list[str], domain: LatticeDomain, kind: str) -> tuple[int, str]:
+    """Row and message of the first bad row in a body that numpy rejects."""
+    # numpy parses lines independently: bisecting over segments finds the first
+    # rejected line in about log2(len(body)) calls.  A parsed row before it that
+    # breaks a rule comes first.
+    parts, start, stop = [], 0, len(body)
+    while stop - start > 1:
+        middle = (start + stop) // 2
+        try:
+            parts.append(_parse_rows(body[start:middle], domain))
+            start = middle
+        except ValueError:
+            stop = middle
+    if parts and (found := _check_rows(np.concatenate(parts), domain, kind)[1]):
+        return found
+    field_count, found_count = 2 * domain.d + 2, len(body[start].split(","))
+    if found_count != field_count:
+        return start, f"expected {field_count} fields, found {found_count}"
+    return start, f"expected {2 * domain.d} integer indices and 2 floats, found {body[start]!r}"
 
 
 def read_coeff_file(path) -> CoeffTensor:
     """Parse a coefficient file, validating indices, coverage and finiteness.
 
-    The body is parsed and checked as whole arrays; only when a check fails
-    are the rows walked one by one, to name the first bad file line.  The
-    tensor is real (float64) when every imaginary field is zero, whatever
-    the header's ``kind``.
+    Each row rule is one mask over the arrays of a single parse; only a
+    failed check locates the first bad file line.  The tensor is real
+    (float64) when every imaginary field is zero, whatever the header's ``kind``.
     """
     lines = _read_lines(path)
     domain, kind = _read_header(lines[0])
     body = list(filter(str.strip, lines[1:]))
     if len(body) != domain.size:
-        raise CoeffFileError(
-            f"expected {domain.size} coefficient rows, found {len(body)}"
-        )
-    data = _bulk_values(body, domain, kind)
-    if data is None:
-        _raise_first_bad_row(lines, domain, kind)
-    # _bulk_values checked finiteness and built a fresh array of the
-    # tensor's dtype: float64 when every imaginary part is zero.
-    return CoeffTensor._trusted(domain, data)
+        raise CoeffFileError(f"expected {domain.size} coefficient rows, found {len(body)}")
+    try:
+        table = _parse_rows(body, domain)
+    except ValueError:
+        row, message = _first_unparsable_row(body, domain, kind)
+    else:
+        flat, bad = _check_rows(table, domain, kind)
+        if bad is None:
+            values = table["value"]
+            data = np.empty(domain.size, dtype=_storage_dtype(values[:, 1]))
+            # One float64 field per stored value: the real part, or both parts.
+            fields = data.itemsize // 8
+            data.view(np.float64).reshape(-1, fields)[flat] = values[:, :fields]
+            return CoeffTensor._trusted(domain, data)
+        row, message = bad
+    # ``row`` counts the non-blank body lines; the error names the file line.
+    file_rows = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
+    raise CoeffFileError(message, row=file_rows[row])
 
 
 def write_sopw_table(path, basis, table) -> None:

@@ -125,20 +125,6 @@ def _fallback_column(fallback: FallbackVector, depth_count: int) -> np.ndarray:
     return column
 
 
-def _orthogonal_fallback(mode_cols: np.ndarray, depth_count: int) -> np.ndarray:
-    # Gram-Schmidt of canonical basis vectors, in index order, against the
-    # (orthonormal) mode columns; first residual of usable size wins.
-    for t in range(depth_count):
-        residual = -mode_cols.conj()[:, t] @ mode_cols
-        residual[t] += 1.0
-        norm = np.linalg.norm(residual)
-        if norm > _FALLBACK_RESIDUAL_MIN:
-            return residual / norm
-    raise ModePreconditionError(
-        "no canonical vector has a usable residual against the mode columns"
-    )
-
-
 def _column_dots(g: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Real part of ``g^H f`` for every column pair of two complex matrices.
 
@@ -195,7 +181,8 @@ def normalize_columns(columns: np.ndarray, eps: float, fallback: FallbackVector,
 
     A vanishing column takes the ``fallback`` column without modes, and
     with them the Gram-Schmidt residual of the first usable canonical
-    vector against the mode columns at its frequency.
+    vector against the mode columns at its frequency: each canonical index
+    in turn gives the residuals of all columns still pending at once.
     """
     norms = np.sqrt(_column_dots(columns, columns))
     good = norms > eps
@@ -209,9 +196,21 @@ def normalize_columns(columns: np.ndarray, eps: float, fallback: FallbackVector,
     if not mode_columns:
         columns[:, ~good] = _fallback_column(fallback, depth_count)[:, None]
         return
-    for j in np.nonzero(~good)[0]:
-        here = np.array([mode[:, j] for mode in mode_columns])
-        columns[:, j] = _orthogonal_fallback(here, depth_count)
+    pending = np.nonzero(~good)[0]
+    modes = np.stack([mode[:, pending] for mode in mode_columns])
+    for t in range(depth_count):
+        # e_t minus its components along the (orthonormal) mode columns
+        residual = -np.einsum("kdj,kj->dj", modes, modes[:, t].conj())
+        residual[t] += 1.0
+        norms = np.linalg.norm(residual, axis=0)
+        usable = norms > _FALLBACK_RESIDUAL_MIN
+        columns[:, pending[usable]] = residual[:, usable] / norms[usable]
+        pending, modes = pending[~usable], modes[:, :, ~usable]
+        if not pending.size:
+            return
+    raise ModePreconditionError(
+        "no canonical vector has a usable residual against the mode columns"
+    )
 
 
 def project_columns(columns: np.ndarray, domain: LatticeDomain,

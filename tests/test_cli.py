@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from shiftortho import (
@@ -24,7 +25,7 @@ from shiftortho import (
     random_tensor,
     sopw_fourier_coeffs,
 )
-from shiftortho import cli
+from shiftortho import cli, coeffio
 from shiftortho.cli import main
 from shiftortho.coeffio import (
     _ROWS_PER_FORMAT,
@@ -34,6 +35,7 @@ from shiftortho.coeffio import (
 )
 from util import (
     random_real_tensor,
+    read_coeff_file_by_rows,
     read_sopw_table,
     row_by_row_coeff_text,
     small_domains,
@@ -262,7 +264,10 @@ class TestCoeffFile:
             read_coeff_file(path)
 
     @given(small_domains(max_size=256), st.data())
-    @settings(max_examples=40, deadline=None)
+    # No shrinking: a wrong writer fails the first example, and shrinking
+    # would rewrite and reread a file per step for minutes.
+    @settings(max_examples=40, deadline=None,
+              phases=[phase for phase in Phase if phase is not Phase.shrink])
     def test_round_trip_bitwise_and_canonical(self, tmp_path_factory, dom, data):
         value = st.one_of(st.sampled_from(EDGE_VALUES),
                           st.floats(allow_nan=False, allow_infinity=False))
@@ -308,6 +313,14 @@ class TestCoeffFile:
             ("1,0,1.0,0.0\n\n1,1,inf,0.0\n", 4, "must be finite"),
             ("\n1,0,nan,0.0\n1,1,1.0,0.0\n", 3, "must be finite"),
             ("1,0,1.0,0.0\n\n\n1,1,2.0,1e-300\n", 5, "imaginary part is nonzero"),
+            # Several rules broken in one row: the first in checking order.
+            ("1,0,1.0,0.0\n1,2,nan,0.0\n", 3, "shift index 2 outside 0..1"),
+            ("1,0,1.0,0.0\n1,0,nan,0.0\n", 3, "duplicate entry for index (1, 0)"),
+            ("1,0,1.0,0.0\n1,1,nan,1.0\n", 3, "must be finite"),
+            ("1,0,1.0,0.0\n1,x,2.0\n", 3, "expected 4 fields, found 3"),
+            # Whitespace-only and CRLF lines between rows.
+            ("1,0,1.0,0.0\r\n \r\n\t\r\n1,1,inf,0.0\r\n", 5, "must be finite"),
+            ("\r\n1,0,1.0,0.0\r\n  \r\n1,1,2.0,0.0,\r\n", 5, "expected 4 fields, found 5"),
         ],
     )
     def test_bad_row_named_by_file_line(self, tmp_path, body, row, message):
@@ -322,6 +335,107 @@ class TestCoeffFile:
         error = read_error(tmp_path / "bad.csv", header + body)
         assert error.row == 3
         assert "duplicate" in str(error)
+
+    def test_first_bad_row_is_unparsable(self, tmp_path):
+        # The mirror case: line 3 does not parse, line 4 repeats an index and
+        # line 5 is out of range.
+        body = "1,0,1.0,0.0\n1,x,2.0,0.0\n1,0,3.0,0.0\n1,9,4.0,0.0\n"
+        header = HEADER_1D.replace("[2]", "[4]", 1) % "real"
+        error = read_error(tmp_path / "bad.csv", header + body)
+        assert error.row == 3
+        assert "integer indices" in str(error)
+
+    def test_crlf_and_whitespace_lines_read(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes((HEADER_1D % "complex").replace("\n", "\r\n").encode()
+                         + b" \r\n1,1,2.0,-1\r\n\t \r\n\r\n1,0,1.0,0\r\n  \n")
+        assert np.array_equal(read_coeff_file(path).data, [1.0, 2.0 - 1.0j])
+
+    @given(small_domains(max_axis=4, max_size=24), st.booleans(), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_errors_match_row_walk(self, tmp_path_factory, dom, real, data):
+        # A written file with up to three corruptions: field counts, bad
+        # tokens, indices in or out of range (so repeats too), indices copied
+        # from the row before, non-finite values, nonzero imaginary parts,
+        # blank lines.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        path = tmp_path_factory.mktemp("walk") / "t.csv"
+        write_coeff_file(path, random_tensor(dom, rng, real=real))
+        header, *rows = path.read_text().splitlines()
+        width = 2 * dom.d
+        for _ in range(data.draw(st.integers(0, 3))):
+            # Half the corruptions go to the first two rows, so that one
+            # row often breaks several rules.
+            at = data.draw(st.one_of(st.integers(0, 1), st.integers(0, len(rows) - 1)))
+            at = min(at, len(rows) - 1)
+            fields = rows[at].split(",")
+            how = data.draw(st.sampled_from(
+                ["drop", "extra", "token", "index", "copy", "value", "imag"]))
+            if how == "drop":
+                fields.pop()
+            elif how == "extra":
+                fields.append(data.draw(st.sampled_from(["0", "", "1.5"])))
+            elif how == "token":
+                token = data.draw(st.sampled_from(["x", "1.5", "", " ", "1e", "0x1", "--1"]))
+                fields[data.draw(st.integers(0, len(fields) - 1))] = token
+            elif how == "index":
+                at_field = data.draw(st.integers(0, width - 1))
+                fields[min(at_field, len(fields) - 1)] = str(data.draw(st.integers(-2, 9)))
+            elif how == "copy":
+                fields[:width] = rows[at - 1].split(",")[:width]
+            elif how in ("value", "imag"):
+                token = (data.draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "-nan"]))
+                         if how == "value" else data.draw(st.sampled_from(["1e-300", "-2"])))
+                at_field = width + (1 if how == "imag" else data.draw(st.integers(0, 1)))
+                fields[min(at_field, len(fields) - 1)] = token
+            rows[at] = ",".join(fields)
+        for _ in range(data.draw(st.integers(0, 2))):
+            at = data.draw(st.integers(0, len(rows)))
+            rows.insert(at, data.draw(st.sampled_from(["", " ", "\t", "  \t "])))
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        path.write_bytes(newline.join([header, *rows, ""]).encode())
+        try:
+            expected = read_coeff_file_by_rows(path)
+        except CoeffFileError as exc:
+            with pytest.raises(CoeffFileError) as info:
+                read_coeff_file(path)
+            assert (str(info.value), info.value.row) == (str(exc), exc.row)
+        else:
+            back = read_coeff_file(path)
+            assert back.data.dtype == expected.data.dtype
+            assert np.array_equal(back.data.view(np.uint64), expected.data.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "last, semantic",
+        [
+            ("1,4095,x,0", False),
+            ("1,4095,2.0", False),
+            ("1,4096,2.0,0", True),
+            ("1,0,2.0,0", True),
+            ("1,4095,nan,0", True),
+            ("1,4095,2.0,1", True),
+        ],
+    )
+    def test_parser_calls_for_a_bad_last_row(self, tmp_path, monkeypatch, last, semantic):
+        # The parsed arrays name a broken rule; an unparsable line costs a
+        # bisection, not a parse per line.
+        dom = LatticeDomain((2**12,), (1,))
+        path = tmp_path / "bad.csv"
+        write_coeff_file(path, random_real_tensor(dom, np.random.default_rng(18)))
+        text = path.read_text().splitlines()
+        calls, parse = [], coeffio._parse_rows
+
+        def counted(lines, domain):
+            calls.append(len(lines))
+            return parse(lines, domain)
+
+        monkeypatch.setattr(coeffio, "_parse_rows", counted)
+        error = read_error(path, "\n".join(text[:-1] + [last]) + "\n")
+        assert error.row == dom.size + 1
+        if semantic:
+            assert calls == [dom.size]
+        else:
+            assert len(calls) <= math.ceil(math.log2(dom.size)) + 3
 
     @pytest.mark.parametrize(
         "header",

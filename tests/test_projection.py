@@ -38,6 +38,7 @@ from util import (
     direct_shift_violation,
     engineered_degenerate_real,
     gram_shift,
+    orthogonal_fallback,
     random_real_tensor,
     small_domains,
     sphere_subproblem_oracle,
@@ -223,6 +224,44 @@ class TestColumnBlocks:
         assert np.abs(out[:, 29] - residual / np.linalg.norm(residual)).max() <= 1e-15
         assert np.abs(q.conj() @ out[:, 29]).max() <= 1e-15
         assert np.abs(np.linalg.norm(out, axis=0) - 1.0).max() <= 1e-12
+
+    def test_deflated_fallbacks_match_per_column_gram_schmidt(self):
+        # Two modes per column from a random unitary; at some frequencies
+        # the first mode is e_0 (so e_1 gives the fallback), at others the
+        # modes are e_0 and e_1 (so e_2 does).  Every third column is kept.
+        rng = np.random.default_rng(26)
+        depth_count, count = 4, 60
+        modes = np.empty((2, depth_count, count), dtype=complex)
+        for j in range(count):
+            noise = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            unitary = np.linalg.qr(noise)[0]
+            if j % 5 == 1:
+                unitary = np.eye(4, dtype=complex)
+                unitary[1:, 1:] = np.linalg.qr(noise[1:, 1:])[0]
+            elif j % 5 == 2:
+                unitary = np.eye(4)
+            modes[:, :, j] = unitary[:, :2].T
+        columns = np.zeros((depth_count, count), dtype=complex)
+        columns[:, ::3] = rng.standard_normal((depth_count, 20))
+        expected = columns / np.maximum(np.linalg.norm(columns, axis=0), 1e-300)
+        for j in range(count):
+            if j % 3:
+                expected[:, j] = orthogonal_fallback(modes[:, :, j], depth_count)
+        projection.normalize_columns(columns, 1e-13, FallbackVector.UNIFORM_REAL, list(modes))
+        assert np.abs(columns - expected).max() <= 1e-14
+        inners = np.einsum("kdj,dj->kj", modes.conj(), columns)
+        assert np.abs(inners[:, np.arange(count) % 3 > 0]).max() <= 1e-14
+
+    def test_deflated_fallback_without_usable_residual(self):
+        # Modes spanning every depth at one frequency leave no fallback there.
+        modes = np.zeros((2, 2, 3), dtype=complex)
+        modes[0, 0], modes[1, 1] = 1.0, 1.0
+        for columns in (np.zeros((2, 3), dtype=complex), np.eye(2, 3, dtype=complex)):
+            with pytest.raises(ModePreconditionError):
+                orthogonal_fallback(modes[:, :, 2], 2)
+            with pytest.raises(ModePreconditionError):
+                projection.normalize_columns(columns, 1e-13, FallbackVector.UNIFORM_REAL,
+                                             list(modes))
 
     @pytest.mark.parametrize("width", [1 << 40, 8])
     def test_threshold_branch_at_eps(self, monkeypatch, width):

@@ -16,9 +16,11 @@ from shiftortho import (
     CoeffTensor,
     DomainMismatchError,
     LatticeDomain,
+    ModePreconditionError,
     ProjectionConfig,
     analyze_grid,
     cpw_energy,
+    flatten,
     helmholtz_solve,
     project_columns,
     project_sso,
@@ -33,10 +35,13 @@ from shiftortho.coeffio import (
     _header,
     _header_object,
     _index_base,
+    _parse_rows,
+    _read_header,
     _read_lines,
     format_rows,
 )
 from shiftortho.cpw import _initial_field
+from shiftortho.projection import _FALLBACK_RESIDUAL_MIN
 from shiftortho.sopw import _band_tables, analyze_spectrum, synthesize_spectrum
 
 
@@ -132,6 +137,52 @@ def write_coeff_file_by_table(path, tensor: CoeffTensor) -> None:
             handle.write(format_rows(template, table))
 
 
+def read_coeff_file_by_rows(path) -> CoeffTensor:
+    """The coefficient reader as one walk over the file's lines.
+
+    Every non-blank body line is split, parsed and checked on its own, in
+    file order, so the first bad row raises; the library reader must raise
+    the same message and row, or read the same tensor.
+    """
+    lines = _read_lines(path)
+    domain, kind = _read_header(lines[0])
+    count = sum(1 for line in lines[1:] if line.strip())
+    if count != domain.size:
+        raise CoeffFileError(f"expected {domain.size} coefficient rows, found {count}")
+    field_count = 2 * domain.d + 2
+    seen = np.zeros(domain.size, dtype=bool)
+    data = np.zeros(domain.size, dtype=np.complex128)
+    for row, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != field_count:
+            raise CoeffFileError(f"expected {field_count} fields, found {len(fields)}", row=row)
+        try:
+            record = _parse_rows([line], domain)[0]
+        except ValueError:
+            raise CoeffFileError(
+                f"expected {2 * domain.d} integer indices and 2 floats, found {line!r}",
+                row=row,
+            ) from None
+        index, (real, imag) = record["index"], record["value"]
+        try:
+            flat = flatten(domain, index[: domain.d], index[domain.d :])
+        except IndexError as exc:
+            raise CoeffFileError(str(exc), row=row) from exc
+        if seen[flat]:
+            raise CoeffFileError(
+                f"duplicate entry for index {tuple(int(i) for i in index)}", row=row
+            )
+        seen[flat] = True
+        if not (math.isfinite(real) and math.isfinite(imag)):
+            raise CoeffFileError("coefficients must be finite", row=row)
+        if kind == "real" and imag:
+            raise CoeffFileError("kind is 'real' but the imaginary part is nonzero", row=row)
+        data[flat] = complex(real, imag)
+    return CoeffTensor(domain, data)
+
+
 def read_sopw_table(path):
     """Parse a ``sopw --table`` file; returns ``(L, N, {(k, j): [(n, c)]})``.
 
@@ -161,6 +212,24 @@ def read_sopw_table(path):
             raise CoeffFileError(str(exc), row=row_number) from exc
         table.setdefault((depth, shift_idx), []).append((mode, value))
     return header["L"], header["N"], table
+
+
+def orthogonal_fallback(mode_cols: np.ndarray, depth_count: int) -> np.ndarray:
+    """Fallback column of one vanishing column against its frequency's modes.
+
+    Gram-Schmidt of canonical basis vectors, in index order, against the
+    (orthonormal) rows of ``mode_cols``; the first residual of usable size
+    wins.  ``normalize_columns`` fills every vanishing column at once.
+    """
+    for t in range(depth_count):
+        residual = -mode_cols.conj()[:, t] @ mode_cols
+        residual[t] += 1.0
+        norm = np.linalg.norm(residual)
+        if norm > _FALLBACK_RESIDUAL_MIN:
+            return residual / norm
+    raise ModePreconditionError(
+        "no canonical vector has a usable residual against the mode columns"
+    )
 
 
 def theta_normalize(p: CoeffTensor, cfg: ProjectionConfig = ProjectionConfig()) -> CoeffTensor:
