@@ -20,10 +20,11 @@ memory of the complex pair.  The projection runs real inputs through it.
 The transforms run on ``numpy.fft`` as one 1-D pass per shift axis, the
 last axis first as ``numpy.fft.fftn`` orders them, each pass writing the
 output buffer.  Depth slices are independent, and so are the lines of one
-pass.  A call on at least ``_SPLIT_COEFFS`` coefficients is split into
-one part per worker: contiguous depth slabs that each take every pass,
-or, with fewer depths than workers, parts of each pass along the longest
-other shift axis.  The caller's thread shares the parts with the
+pass.  A call on at least ``_SPLIT_COEFFS`` coefficients is split:
+into contiguous depth slabs, one per worker, that each take every pass,
+or, with fewer depths than workers, into parts of each pass along the
+longest other axis, the depth axis included (one per worker, or one per
+entry of a shorter axis).  The caller's thread shares the parts with the
 library's one thread pool (pocketfft releases the GIL); a smaller call
 runs on the caller's thread alone.  Every line is transformed the same
 way whatever the split, so the result does not depend on it.
@@ -79,8 +80,9 @@ def _run_parts(body: Callable, parts: Sequence) -> None:
 
 
 def _split(length: int) -> list[slice]:
-    """``_WORKERS`` contiguous, near-equal slices of ``range(length)``."""
-    bounds = [length * k // _WORKERS for k in range(_WORKERS + 1)]
+    """``min(_WORKERS, length)`` contiguous, near-equal slices of ``range(length)``."""
+    count = min(_WORKERS, length)
+    bounds = [length * k // count for k in range(count + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
@@ -103,8 +105,7 @@ def _shift_passes(steps: Sequence[tuple], size: int) -> None:
     else:
         for step in steps:
             _, axis, src, _ = step
-            others = [a for a in range(src.ndim - 1, 0, -1)
-                      if a != axis and src.shape[a] >= _WORKERS]
+            others = [a for a in range(src.ndim - 1, -1, -1) if a != axis and src.shape[a] >= 2]
             parts = [()]
             if others:
                 split = max(others, key=src.shape.__getitem__)

@@ -271,7 +271,7 @@ def cmd_project(args) -> int:
             "output": str(args.output),
             "modes": len(modes),
             "config": {
-                "eps": cfg.resolve_eps(tensor.domain),
+                "eps": cfg.resolve_eps(tensor.domain.depth_count),
                 "fallback": cfg.fallback_vector.value,
                 "tol": args.tol,
             },

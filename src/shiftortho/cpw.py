@@ -31,7 +31,6 @@ import numpy as np
 from .btransform import b_inverse
 from .lattice import CoeffTensor
 from .projection import (
-    DEFAULT_CONFIG,
     InfeasibleDeflationError,
     ModeSpan,
     is_shift_orthogonal,
@@ -74,9 +73,10 @@ class CpwConfig:
     """Solver parameters.
 
     ``mu`` weights the L1 term (``inf`` drops it).  ``lam`` and ``r`` are
-    the Bregman penalties on the sparsity and feasibility splits; left at
-    ``None`` they scale with the kinetic curvature at the top of the shell
-    the next mode should occupy (mode ``n+1`` after ``n`` deflations).
+    the finite Bregman penalties on the sparsity and feasibility splits;
+    left at ``None`` they scale with the kinetic curvature at the top of
+    the shell the next mode should occupy (mode ``n+1`` after ``n``
+    deflations).
     Penalties well below that curvature let the iteration limit-cycle at
     high frequencies instead of contracting.  Convergence is declared when
     the relative change of the grid field drops below ``tol``.
@@ -94,12 +94,12 @@ class CpwConfig:
     def __post_init__(self):
         if not self.mu > 0:
             raise ValueError("mu must be positive (inf allowed)")
-        if self.lam is not None and not self.lam > 0:
-            raise ValueError("lam must be positive")
-        if self.r is not None and not self.r > 0:
-            raise ValueError("r must be positive")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if self.lam is not None and not 0 < self.lam < math.inf:
+            raise ValueError("lam must be finite and positive")
+        if self.r is not None and not 0 < self.r < math.inf:
+            raise ValueError("r must be finite and positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.init not in ("gaussian", "random"):
@@ -274,7 +274,6 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D):
     lam_h = (lam / (symbol + lam + r)).astype(np.complex128)
     r_h = (r / (symbol + lam + r)).astype(np.complex128)
     mode_columns = prev.span.columns
-    eps = DEFAULT_CONFIG.resolve_eps(domain)
     bands = band_map(basis, grid_size)
     band_symbol = symbol[bands.slots]
     band_r_h = r_h[bands.slots]
@@ -291,7 +290,7 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D):
         columns, squared = analyze_spectrum(spectrum, bands)
         if projector is not None:
             columns = np.ascontiguousarray((projector @ columns.T[:, :, None])[:, :, 0].T)
-        normalize_columns(columns, eps, DEFAULT_CONFIG.fallback_vector, mode_columns)
+        normalize_columns(columns, mode_columns=mode_columns)
         return synthesize_spectrum(columns, bands), columns, squared
 
     # Row i holds iteration i of a block (psi + i v as the inverse FFT wrote

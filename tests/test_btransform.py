@@ -103,6 +103,11 @@ def test_linearity():
     assert np.abs(b_transform(combined).data - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
+def _pass_parts(workers, shape, axis):
+    """Parts of a pass along ``axis`` of a ``(depth_count,) + shifts`` array."""
+    return min(workers, max((n for k, n in enumerate(shape) if k != axis), default=1))
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize(
     "shifts, depths",
@@ -111,7 +116,7 @@ def test_linearity():
      ((4, 3, 5), (1, 1, 1)), ((4, 3, 5), (1, 2, 1)), ((4, 3, 5), (3, 1, 1))],
 )
 def test_split_passes_bitwise_equal_one_part(monkeypatch, shifts, depths, workers):
-    # Depth slabs (unequal for 3 depths over 2 workers), shift-axis parts
+    # Depth slabs (unequal for 3 depths over 2 workers), parts of each pass
     # when there are fewer depths than workers, and no split for one 1-D
     # line all give the one-part result bit for bit.
     dom = LatticeDomain(shifts, depths)
@@ -135,9 +140,9 @@ def test_split_passes_bitwise_equal_one_part(monkeypatch, shifts, depths, worker
     for got, want in zip(run(), whole):
         assert np.array_equal(got, want)
     # depth slabs take every pass at once; otherwise each pass, last axis
-    # first, splits if another shift axis is long enough
+    # first, splits along its longest other axis, the depth axis included
     per_transform = [workers] if dom.depth_count >= workers else [
-        workers if any(n >= workers for k, n in enumerate(shifts) if k != axis) else 1
+        _pass_parts(workers, (dom.depth_count,) + shifts, axis + 1)
         for axis in reversed(range(dom.d))
     ]
     assert splits == 4 * per_transform
@@ -208,5 +213,10 @@ def test_half_pair_split_bitwise_equal_one_part(monkeypatch, shifts, depths, wor
     if dom.depth_count >= workers:
         assert splits == [workers, workers]
     else:
-        assert len(splits) == 2 * dom.d
-        assert (max(splits) == workers) == (dom.d > 1)
+        # every pass but the real one runs on the half spectrum
+        half = (dom.depth_count,) + shifts[:-1] + (shifts[-1] // 2 + 1,)
+        full = (dom.depth_count,) + shifts
+        forward = [_pass_parts(workers, full, dom.d)]
+        forward += [_pass_parts(workers, half, axis) for axis in range(dom.d - 1, 0, -1)]
+        inverse = [_pass_parts(workers, half, axis) for axis in range(1, dom.d + 1)]
+        assert splits == forward + inverse

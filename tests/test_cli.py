@@ -628,11 +628,12 @@ class TestProjectCommand:
 
     @pytest.mark.parametrize(
         "option", [("--eps", "-1"), ("--eps", "nan"), ("--tol", "-1"),
-                   ("--tol", "nan"), ("--tol", "inf")],
+                   ("--tol", "nan"), ("--tol", "inf"), ("--eps", "inf")],
     )
     def test_invalid_threshold_exit_2(self, tmp_path, capsys, option):
-        # A NaN eps would send every column to the fallback and a NaN or
-        # infinite tol would make every membership verdict meaningless.
+        # A NaN or infinite eps would send every column to the fallback, and
+        # a NaN or infinite tol would make every membership verdict
+        # meaningless.
         rng = np.random.default_rng(8)
         source = tmp_path / "in.csv"
         target = tmp_path / "out.csv"
@@ -814,6 +815,9 @@ class TestCpwCommand:
         ("--modes", "-1"),
         ("--grid", "16"),  # below Nyquist for L=8, N=4
         ("--init", "random", "--seed", "-1"),
+        ("--lambda", "inf"),
+        ("--r", "inf"),
+        ("--tol", "inf"),
     ])
     def test_bad_argument_creates_no_outdir(self, tmp_path, capsys, extra):
         outdir = tmp_path / "run"

@@ -352,6 +352,11 @@ class TestConfigAndModeSet:
             CpwConfig(r=0.0)
         with pytest.raises(ValueError, match="max_iter"):
             CpwConfig(max_iter=0)
+        # an infinite penalty makes the Helmholtz weights NaN, and an
+        # infinite tol stops after one iteration
+        for bad in ({"lam": math.inf}, {"r": math.inf}, {"tol": math.inf}):
+            with pytest.raises(ValueError, match="finite"):
+                CpwConfig(**bad)
 
     def test_default_grid_size_resolves_from_basis(self):
         basis = SopwBasis1D(8, 4)

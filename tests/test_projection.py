@@ -76,10 +76,12 @@ class TestThetaNormalize:
             ProjectionConfig(zero_norm_eps=-1.0)
 
     def test_nan_eps_rejected(self):
-        # NaN compares false with every norm, so every column would take
-        # the fallback whatever the input.
+        # NaN compares false with every norm, and every norm is below inf,
+        # so either would send every column to the fallback whatever the input.
         with pytest.raises(ValueError):
             ProjectionConfig(zero_norm_eps=math.nan)
+        with pytest.raises(ValueError):
+            ProjectionConfig(zero_norm_eps=math.inf)
 
 
 class TestKernelContract:
@@ -89,15 +91,14 @@ class TestKernelContract:
         mode = project_sso(random_tensor(dom, rng))
         for modes in ((), [b_transform(mode).columns]):
             columns = b_transform(random_tensor(dom, rng)).columns
-            out = project_columns(columns, dom, mode_columns=modes)
+            out = project_columns(columns, mode_columns=modes)
             assert out is columns
             assert np.abs(np.linalg.norm(columns, axis=0) - 1.0).max() <= 1e-12
 
     def test_real_columns_rejected(self):
         # The kernel reads complex columns as interleaved pairs of doubles.
-        dom = LatticeDomain((3,), (2,))
         with pytest.raises(TypeError):
-            project_columns(np.ones((2, 3)), dom)
+            project_columns(np.ones((2, 3)))
 
     def test_inputs_left_unchanged(self, monkeypatch):
         rng = np.random.default_rng(17)
@@ -116,7 +117,7 @@ class TestKernelContract:
                 theta_normalize(p)
                 project_sso(b)
                 project_sso_orth(b, [mode], validate=True)
-                project_columns(p.columns.copy(), dom, mode_columns=[mode_columns])
+                project_columns(p.columns.copy(), mode_columns=[mode_columns])
                 check_shift_perpendicular(b, mode)
                 for t, before in zip((b, p, mode), kept):
                     assert np.array_equal(t.data, before)
@@ -175,8 +176,8 @@ class TestColumnBlocks:
             _split_columns(monkeypatch, width)
             perp = check_shift_perpendicular(g, f)
             results.append([
-                project_columns(columns.copy(), dom),
-                project_columns(columns.copy(), dom, mode_columns=mode_columns),
+                project_columns(columns.copy()),
+                project_columns(columns.copy(), mode_columns=mode_columns),
                 np.array([perp.max_frequency_inner, perp.max_shift_inner]),
             ])
         for result in results[1:]:
@@ -190,8 +191,8 @@ class TestColumnBlocks:
         dom = LatticeDomain((40,), (4,))
         mode_columns = _deflation_columns(dom, rng)
         columns = b_transform(random_tensor(dom, rng)).columns
-        listed = project_columns(columns.copy(), dom, mode_columns=mode_columns)
-        stacked = project_columns(columns.copy(), dom, mode_columns=np.stack(mode_columns))
+        listed = project_columns(columns.copy(), mode_columns=mode_columns)
+        stacked = project_columns(columns.copy(), mode_columns=np.stack(mode_columns))
         assert np.array_equal(listed, stacked)
 
     @pytest.mark.parametrize("fallback", list(FallbackVector))
@@ -201,7 +202,7 @@ class TestColumnBlocks:
         dom = LatticeDomain((40,), (4,))
         columns = b_transform(random_tensor(dom, rng)).columns
         columns[:, 29] = 0.0
-        out = project_columns(columns, dom, ProjectionConfig(fallback_vector=fallback))
+        out = project_columns(columns, ProjectionConfig(fallback_vector=fallback))
         expected = {
             FallbackVector.UNIFORM_REAL: [0.5, 0.5, 0.5, 0.5],
             FallbackVector.FIRST_CANONICAL: [1.0, 0.0, 0.0, 0.0],
@@ -216,7 +217,7 @@ class TestColumnBlocks:
         mode_columns = _deflation_columns(dom, rng)
         columns = b_transform(random_tensor(dom, rng)).columns
         columns[:, 29] = 0.0
-        out = project_columns(columns, dom, mode_columns=mode_columns)
+        out = project_columns(columns, mode_columns=mode_columns)
         # Gram-Schmidt of the first canonical vector against the modes there
         q = np.array([mode[:, 29] for mode in mode_columns])
         residual = -q.conj()[:, 0] @ q
@@ -247,7 +248,7 @@ class TestColumnBlocks:
         for j in range(count):
             if j % 3:
                 expected[:, j] = orthogonal_fallback(modes[:, :, j], depth_count)
-        projection.normalize_columns(columns, 1e-13, FallbackVector.UNIFORM_REAL, list(modes))
+        projection.normalize_columns(columns, ProjectionConfig(zero_norm_eps=1e-13), list(modes))
         assert np.abs(columns - expected).max() <= 1e-14
         inners = np.einsum("kdj,dj->kj", modes.conj(), columns)
         assert np.abs(inners[:, np.arange(count) % 3 > 0]).max() <= 1e-14
@@ -260,7 +261,7 @@ class TestColumnBlocks:
             with pytest.raises(ModePreconditionError):
                 orthogonal_fallback(modes[:, :, 2], 2)
             with pytest.raises(ModePreconditionError):
-                projection.normalize_columns(columns, 1e-13, FallbackVector.UNIFORM_REAL,
+                projection.normalize_columns(columns, ProjectionConfig(zero_norm_eps=1e-13),
                                              list(modes))
 
     @pytest.mark.parametrize("width", [1 << 40, 8])
@@ -270,7 +271,7 @@ class TestColumnBlocks:
         # from the threshold: only v > eps is scaled, the rest fall back.
         _split_columns(monkeypatch, width)
         dom = LatticeDomain((40,), (4,))
-        eps = ProjectionConfig().resolve_eps(dom)
+        eps = ProjectionConfig().resolve_eps(dom.depth_count)
         values = [eps]
         for _ in range(3):
             values.insert(0, np.nextafter(values[0], 0.0))
@@ -280,7 +281,7 @@ class TestColumnBlocks:
             value = values[j % len(values)]
             assert np.sqrt(value * value) == value
             columns[j % 4, j] = value
-        out = project_columns(columns.copy(), dom)
+        out = project_columns(columns.copy())
         for j in range(40):
             if columns[j % 4, j].real > eps:
                 assert np.count_nonzero(out[:, j]) == 1
@@ -336,7 +337,7 @@ class TestColumnBlocks:
             with pytest.raises(_Submitted):
                 btransform._complex_transform(np.fft.fft, v.copy(), in_place=True)
         with pytest.raises(_Submitted):
-            project_columns(random_tensor(wide, rng).columns, wide)
+            project_columns(random_tensor(wide, rng).columns)
 
     def test_concurrent_callers_on_a_wide_pool(self, monkeypatch):
         # More pool threads than cores, a short switch interval and several
@@ -350,7 +351,7 @@ class TestColumnBlocks:
 
         def work():
             return [b_transform(b).data,
-                    project_columns(columns.copy(), dom, mode_columns=mode_columns),
+                    project_columns(columns.copy(), mode_columns=mode_columns),
                     project_sso_orth(b, [project_sso(b)]).data]
 
         expected = work()
@@ -381,7 +382,7 @@ class TestRealRoute:
     @staticmethod
     def complex_route(b, cfg=ProjectionConfig()):
         p = b_transform(b)
-        project_columns(p.columns, b.domain, cfg)
+        project_columns(p.columns, cfg)
         return b_inverse(p)
 
     # The worst difference from the complex route over these shapes was
@@ -477,7 +478,7 @@ class TestRealRoute:
         """Twins inside the plane of last shift index 0, with two or more axes.
 
         That plane of the half spectrum holds both twins of its columns,
-        whose kernel norms (``projection._column_dots``) differ in the last
+        whose kernel norms (``projection._column_norms_sq``) differ in the last
         bit for these random inputs.  ``zero_norm_eps`` is set to the
         smaller of one such pair: the output is still a member.
         """
@@ -485,7 +486,7 @@ class TestRealRoute:
         b = random_real_tensor(dom, np.random.default_rng(55))
         half = btransform._half_transform(b)
         flat = half.reshape(dom.depth_count, -1)
-        norms = np.sqrt(projection._column_dots(flat, flat)).reshape(half.shape[1:])
+        norms = np.sqrt(projection._column_norms_sq(flat)).reshape(half.shape[1:])
         plane = norms[..., 0]
         twins = np.roll(np.flip(plane), 1, axis=tuple(range(plane.ndim)))
         j = np.argwhere(plane != twins)[0]

@@ -45,15 +45,19 @@ from shiftortho.projection import _FALLBACK_RESIDUAL_MIN
 from shiftortho.sopw import _band_tables, analyze_spectrum, synthesize_spectrum
 
 
-def small_domains(max_axis=8, max_size=4096):
-    """Hypothesis strategy: random 1-3D lattice domains of bounded size."""
-    axis = st.integers(1, max_axis)
-    return (
-        st.integers(1, 3)
-        .flatmap(lambda d: st.tuples(st.tuples(*[axis] * d), st.tuples(*[axis] * d)))
-        .map(lambda pair: LatticeDomain(*pair))
-        .filter(lambda dom: dom.size <= max_size)
-    )
+@st.composite
+def small_domains(draw, max_axis=8, max_size=4096):
+    """Hypothesis strategy: random 1-3D lattice domains of bounded size.
+
+    Each shift count, then each depth cap, is drawn from what the size
+    left over by the earlier ones allows, so no draw is thrown away.
+    """
+    d = draw(st.integers(1, 3))
+    counts, budget = [], max_size
+    for _ in range(2 * d):
+        counts.append(draw(st.integers(1, min(max_axis, budget))))
+        budget //= counts[-1]
+    return LatticeDomain(tuple(counts[:d]), tuple(counts[d:]))
 
 
 def unflatten(domain: LatticeDomain, flat: int):
@@ -241,7 +245,7 @@ def theta_normalize(p: CoeffTensor, cfg: ProjectionConfig = ProjectionConfig()) 
     complex, since a tensor with no nonzero imaginary part is stored real.
     """
     columns = p.columns.astype(np.complex128)
-    return CoeffTensor(p.domain, project_columns(columns, p.domain, cfg))
+    return CoeffTensor(p.domain, project_columns(columns, cfg))
 
 
 def direct_b_transform(v: CoeffTensor) -> np.ndarray:
