@@ -2,23 +2,25 @@
 
 Each mode minimizes an L1-regularized kinetic energy subject to shift
 orthogonality and, for higher modes, perpendicularity to the shift span of
-the modes already found.  The constrained subproblem is handled exactly by
-the per-column projection kernel; the quadratic subproblem is a diagonal
-Helmholtz division in Fourier space; the L1 subproblem is pointwise soft
+the modes already found.  The constrained subproblem is an exact
+per-column projection; the quadratic subproblem is a diagonal Helmholtz
+division in Fourier space; the L1 subproblem is pointwise soft
 thresholding on the grid.
 
 The projection never leaves Fourier-bucket coordinates: the B-transform
 columns of the basis expansion of a band-limited field are its Fourier
 coefficients grouped by residue class mod the shift count, so projecting a
-field's spectrum is a gather into columns, the column kernel and a
-scatter back.  Grid fields stay real; the feasibility iterate and its
-Bregman variable are kept as spectra, the projected one on the band slots
-only.  Each iteration takes two grid FFTs: a forward one for the Helmholtz
-right-hand side, and one inverse FFT of ``psi_hat + i v_hat`` whose real
-and imaginary parts are the field for the shrink and the projected field
-for the L1 term.  Since that packing hides the imaginary part of the
-projected field, the realness diagnostic ``max_imag`` is an upper bound on
-it computed from the band coefficients' departure from Hermitian symmetry.
+field's spectrum is a gather into columns, the per-frequency deflation, a
+scaling to unit norm (the kernel's normalize stage only when a column
+vanishes) and a scatter back.  Grid fields stay real; the feasibility
+iterate and its Bregman variable are kept as spectra, the projected one on
+the band slots only.  Each iteration takes two grid FFTs: a forward one
+for the Helmholtz right-hand side, and one inverse FFT of
+``psi_hat + i v_hat`` whose real and imaginary parts are the field for the
+shrink and the projected field for the L1 term.  Since that packing hides
+the imaginary part of the projected field, the realness diagnostic
+``max_imag`` is an upper bound on it computed from the band coefficients'
+departure from Hermitian symmetry.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .btransform import b_inverse
-from .lattice import CoeffTensor
+from .lattice import CoeffTensor, DomainMismatchError
 from .projection import (
+    DEFAULT_CONFIG,
     InfeasibleDeflationError,
     ModeSpan,
     is_shift_orthogonal,
@@ -238,6 +241,22 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 
+def _unit_columns(columns: np.ndarray, eps: float,
+                  mode_columns: list[np.ndarray]) -> np.ndarray:
+    """The solver's columns, any strided view, scaled to unit norm in place.
+
+    When some norm is at most ``eps``, a contiguous copy goes through
+    :func:`normalize_columns` instead, for the kernel's fallbacks.
+    """
+    norms = np.sqrt(np.vecdot(columns, columns, axis=0).real)
+    if norms.min() > eps:
+        columns *= 1.0 / norms
+        return columns
+    columns = np.ascontiguousarray(columns)
+    normalize_columns(columns, mode_columns=mode_columns)
+    return columns
+
+
 def _initial_field(cfg: CpwConfig, basis: SopwBasis1D, grid_size: int) -> np.ndarray:
     period = float(basis.num_shifts)
     x = np.arange(grid_size) * period / grid_size
@@ -256,11 +275,14 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D):
     projection output (under the default :class:`ProjectionConfig`), so
     it satisfies the constraints exactly up to rounding even when the loop
     stops at ``max_iter`` without converging (then
-    ``diagnostics.converged`` is False).
+    ``diagnostics.converged`` is False).  A mode set on another basis's
+    domain raises :class:`DomainMismatchError` before any work.
     """
     if prev is None:
         prev = CpwModeSet(basis)
     domain = basis.domain
+    if prev.span.domain != domain:
+        raise DomainMismatchError("mode set domain does not match the basis domain")
     if len(prev) >= domain.depth_count:
         raise InfeasibleDeflationError(
             f"{len(prev)} modes exhaust {domain.depth_count} depth dimensions"
@@ -274,6 +296,7 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D):
     lam_h = (lam / (symbol + lam + r)).astype(np.complex128)
     r_h = (r / (symbol + lam + r)).astype(np.complex128)
     mode_columns = prev.span.columns
+    eps = DEFAULT_CONFIG.resolve_eps(domain.depth_count)
     bands = band_map(basis, grid_size)
     band_symbol = symbol[bands.slots]
     band_r_h = r_h[bands.slots]
@@ -289,8 +312,8 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D):
         """Projected field's band spectrum, its unit columns, squared analysis residual."""
         columns, squared = analyze_spectrum(spectrum, bands)
         if projector is not None:
-            columns = np.ascontiguousarray((projector @ columns.T[:, :, None])[:, :, 0].T)
-        normalize_columns(columns, mode_columns=mode_columns)
+            columns = (projector @ columns.T[:, :, None])[:, :, 0].T
+        columns = _unit_columns(columns, eps, mode_columns)
         return synthesize_spectrum(columns, bands), columns, squared
 
     # Row i holds iteration i of a block (psi + i v as the inverse FFT wrote

@@ -14,8 +14,9 @@ every shift of every mode.
 The kernel walks the columns in blocks of about 1 MiB (at least 256
 columns), which stay in a core's L2 cache through both stages; an input
 of at least ``btransform._SPLIT_COEFFS`` coefficients and several blocks
-shares them with the FFTs' thread pool.  The solver calls the kernel, or
-its normalize stage, directly.  The checkers work on the transform side
+shares them with the FFTs' thread pool.  The solver deflates and scales
+its few columns itself, and calls the normalize stage only when a column
+is at or below the threshold.  The checkers work on the transform side
 too: inner products against all cyclic shifts are one inverse DFT of
 per-frequency quantities; the direct shift loops are test oracles.
 """

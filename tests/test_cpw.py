@@ -16,17 +16,33 @@ from shiftortho import (
     ModePreconditionError,
     SopwBasis1D,
     check_shift_perpendicular,
+    cpw,
     cpw_energy,
     helmholtz_solve,
     is_shift_orthogonal,
+    project_sso,
     random_tensor,
     shrink,
     solve_cpw_mode,
     solve_cpw_modes,
     support_fraction,
 )
-from shiftortho.cpw import _energy, _imag_bound, _kinetic_symbol
+from shiftortho.cpw import _energy, _imag_bound, _kinetic_symbol, _unit_columns
+from shiftortho.projection import DEFAULT_CONFIG, normalize_columns
 from util import gram_shift, grid_bregman_reference, theta_energy
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` to record each call; returns the list of records."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 class TestHelmholtz:
@@ -231,6 +247,19 @@ class TestLoopBudget:
         assert diag.iterations == iterations
         assert len(calls) == 2 * iterations + self.SETUP_FFTS
 
+    @pytest.mark.parametrize("prior_modes", [0, 1])
+    def test_healthy_solve_skips_the_kernel_normalize(self, monkeypatch, prior_modes):
+        calls = count_calls(monkeypatch, cpw, "normalize_columns")
+        basis = SopwBasis1D(8, 4)
+        prev = CpwModeSet(basis)
+        if prior_modes:
+            member = project_sso(random_tensor(basis.domain, np.random.default_rng(7)))
+            prev.add(CpwMode(member, np.zeros(128)))
+        cfg = CpwConfig(grid_size=128, tol=1e-30, max_iter=11)
+        _, diag = solve_cpw_mode(prev, cfg, basis)
+        assert diag.iterations == 11
+        assert calls == []
+
     # Diagnostics are reduced in blocks of 64 iterations: stops before,
     # on and after a block edge.
     @pytest.mark.parametrize("max_iter", [1, 64, 65, 128])
@@ -299,6 +328,59 @@ class TestLoopBudget:
         half = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         band_spectrum = np.concatenate([half[::-1].conj(), [0.7], half])
         assert _imag_bound(band_spectrum, 64) == 0.0
+
+
+class TestUnitColumns:
+    """The solver's normalize against the kernel stage it stands in for."""
+
+    depth_count, shift_count = 8, 16
+    eps = DEFAULT_CONFIG.resolve_eps(depth_count)
+
+    def columns(self, seed, scales):
+        # A strided view, as the deflated step hands it over, with the
+        # given columns scaled to the given multiples of eps.
+        rng = np.random.default_rng(seed)
+        shape = (self.shift_count, self.depth_count)
+        columns = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).T
+        for j, norm in scales.items():
+            columns[:, j] *= norm * self.eps / np.linalg.norm(columns[:, j])
+        return columns
+
+    def mode_columns(self, prior_modes):
+        rng = np.random.default_rng(11)
+        shape = (self.depth_count, self.shift_count)
+        modes = []
+        for _ in range(prior_modes):
+            mode = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            modes.append(mode / np.linalg.norm(mode, axis=0))
+        return modes
+
+    def both(self, monkeypatch, columns, prior_modes):
+        """``_unit_columns`` and the kernel stage on copies, and the stage's calls."""
+        modes = self.mode_columns(prior_modes)
+        expected = np.ascontiguousarray(columns)
+        normalize_columns(expected, mode_columns=modes)
+        calls = count_calls(monkeypatch, cpw, "normalize_columns")
+        result = _unit_columns(columns.copy(order="K"), self.eps, modes)
+        return result, expected, len(calls)
+
+    @pytest.mark.parametrize("prior_modes", [0, 1])
+    def test_fast_path_matches_kernel_stage(self, monkeypatch, prior_modes):
+        columns = self.columns(1, {3: 2.0})
+        assert not columns.flags.c_contiguous
+        result, expected, calls = self.both(monkeypatch, columns, prior_modes)
+        assert calls == 0
+        assert np.abs(result - expected).max() <= 1e-15
+
+    @pytest.mark.parametrize("scales", [{0: 0.0, 5: 0.5, 9: 2.0}, {5: 0.5, 9: 2.0}])
+    @pytest.mark.parametrize("prior_modes", [0, 1])
+    def test_fallback_path_bitwise_equals_kernel_stage(self, monkeypatch, prior_modes, scales):
+        columns = self.columns(2, scales)
+        result, expected, calls = self.both(monkeypatch, columns, prior_modes)
+        assert calls == 1
+        assert np.array_equal(result, expected)
+        # The vanishing columns took the fallback, not their own direction.
+        assert not np.allclose(result[:, 5], columns[:, 5] / np.linalg.norm(columns[:, 5]))
 
 
 class TestAgainstGridReference:
@@ -378,8 +460,6 @@ class TestConfigAndModeSet:
             mode_set.add(bogus)
 
     def test_mode_set_rejects_overlapping_mode(self):
-        from shiftortho import project_sso
-
         basis = SopwBasis1D(4, 2)
         rng = np.random.default_rng(3)
         member = project_sso(random_tensor(basis.domain, rng))
@@ -389,8 +469,6 @@ class TestConfigAndModeSet:
             mode_set.add(CpwMode(member.copy(), np.zeros(32)))
 
     def test_mode_set_rejects_foreign_domain(self):
-        from shiftortho import project_sso
-
         basis = SopwBasis1D(4, 2)
         rng = np.random.default_rng(4)
         foreign = project_sso(random_tensor(LatticeDomain((6,), (2,)), rng))
@@ -400,8 +478,23 @@ class TestConfigAndModeSet:
             mode_set.add(CpwMode(foreign, np.zeros(32)))
         assert len(mode_set) == 0
 
+    def test_solve_rejects_mode_set_of_another_basis(self):
+        other = SopwBasis1D(8, 4)
+        member = project_sso(random_tensor(other.domain, np.random.default_rng(8)))
+        prev = CpwModeSet(other)
+        prev.add(CpwMode(member, np.zeros(128)))
+        with pytest.raises(DomainMismatchError):
+            solve_cpw_mode(prev, CpwConfig(grid_size=128), SopwBasis1D(8, 6))
+
+    def test_solve_rejects_empty_mode_set_of_another_basis(self, monkeypatch):
+        calls = count_calls(monkeypatch, np.fft, "fft")
+        with pytest.raises(DomainMismatchError):
+            solve_cpw_mode(CpwModeSet(SopwBasis1D(8, 4)), CpwConfig(grid_size=128, max_iter=5),
+                           SopwBasis1D(8, 6))
+        assert calls == []
+
     def test_one_transform_per_insertion(self, monkeypatch):
-        from shiftortho import project_sso, project_sso_orth, projection
+        from shiftortho import project_sso_orth, projection
 
         basis = SopwBasis1D(4, 2)
         rng = np.random.default_rng(5)
