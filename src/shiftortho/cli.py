@@ -152,6 +152,8 @@ def write_svg(path, panels) -> None:
 _MIN_SAMPLE_SECONDS = 3e-3
 # Fixed depth count while the shifts double, fixed shift count vice versa.
 _BENCH_DEPTHS, _BENCH_SHIFTS = 16, 64
+# The smallest size exponent that exceeds both fixed factors.
+_BENCH_MIN_EXP = max(_BENCH_DEPTHS, _BENCH_SHIFTS).bit_length()
 
 
 def _bench_section(label, domains, repeats, rng) -> dict:
@@ -197,8 +199,11 @@ def _bench_section(label, domains, repeats, rng) -> dict:
 def _check_bench_args(min_exp: int, max_exp: int, repeats: int) -> None:
     if min_exp > max_exp:
         raise ValueError("min_exp must not exceed max_exp")
-    if 1 << min_exp <= max(_BENCH_DEPTHS, _BENCH_SHIFTS):
-        raise ValueError("exponent range too small for the fixed factors")
+    if min_exp < _BENCH_MIN_EXP:
+        raise ValueError(
+            f"min_exp must be at least {_BENCH_MIN_EXP}: 2**min_exp must exceed "
+            f"the fixed {_BENCH_DEPTHS} depths and {_BENCH_SHIFTS} shifts"
+        )
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
 
@@ -252,6 +257,11 @@ def _projection_config(args) -> ProjectionConfig:
     return ProjectionConfig(zero_norm_eps=args.eps, fallback_vector=fallback)
 
 
+def _abscissae(basis: SopwBasis1D, grid: int) -> np.ndarray:
+    """Sample positions of a grid of ``grid`` points over one period."""
+    return np.arange(grid) * float(basis.num_shifts) / grid
+
+
 def cmd_project(args) -> int:
     cfg = _projection_config(args)
     if not (math.isfinite(args.tol) and args.tol >= 0):
@@ -292,6 +302,7 @@ def cmd_sopw(args) -> int:
         _check_element(k, shift_idx, basis, basis.depth_cap)
     if args.plot:
         band_map(basis, args.grid)  # AliasingError before any file is written
+        x = _abscissae(basis, args.grid)  # MemoryError before any file is written
 
     written = {}
     if args.table:
@@ -304,7 +315,6 @@ def cmd_sopw(args) -> int:
         written["table"] = str(args.table)
     if args.plot:
         panels = []
-        x = np.arange(args.grid) * basis.num_shifts / args.grid
         for k in depths:
             tensor = CoeffTensor.zeros(basis.domain)
             tensor.data[flatten(basis.domain, (k,), (shift_idx,))] = 1.0
@@ -354,10 +364,9 @@ def cmd_cpw(args) -> int:
         seed=args.seed,
     )
     band_map(basis, args.grid)  # AliasingError before any file is written
+    x = _abscissae(basis, args.grid)  # MemoryError before the directory is made
     os.makedirs(args.outdir, exist_ok=True)
     mode_set = CpwModeSet(basis)
-    period = float(basis.num_shifts)
-    x = np.arange(args.grid) * period / args.grid
     timings = []
     mode_reports = []
     for index in range(args.modes):
@@ -549,6 +558,11 @@ def main(argv=None) -> int:
     except (CoeffFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # A size argument too large for this machine.
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_PRECONDITION
     # The library's precondition errors (domain mismatch, infeasible
     # deflation, bad modes, aliasing) all subclass ValueError.
     except (IndexError, ValueError) as exc:

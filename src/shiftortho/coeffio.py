@@ -2,16 +2,21 @@
 
 A coefficient file is a single JSON header line describing the lattice
 domain followed by one CSV row per coefficient: the 1-based depth indices,
-the 0-based shift indices, then real and imaginary parts printed with 17
-significant digits so doubles round-trip exactly.  Rows may arrive in any
-order but must cover every multi-index exactly once; blank lines are
+the 0-based shift indices, then real and imaginary parts printed as
+``%.17g`` prints them, so doubles round-trip exactly.  Rows may arrive in
+any order but must cover every multi-index exactly once; blank lines are
 skipped.  The reader checks each row rule as one mask over the arrays of a
 single parse, and an error names the 1-based line of the file.  The writer
 emits canonical (flat-index) order, which makes write(read(file))
 byte-identical for canonical files.  It formats a block of rows with one
-``%`` over a row template whose index fields are already text (the leading
-ones spelled once per run of rows), so only the values pass through
-``%.17g`` per row; a real tensor's imaginary field is a literal 0.
+``%`` whose index fields are already text (the leading ones spelled once
+per run of rows) and whose value fields are integer templates: numpy finds
+each value's 17 digits from Dekker's exact product with a power of ten,
+and its template (sign, zero runs, widths, exponent) lays them out as
+``%.17g`` does.  A value whose digits are not certain (an exact tie at 17
+digits, or a magnitude outside 1e-280..1e280) takes its own ``%.17g`` text
+as its template, so every field equals ``%.17g``'s, byte for byte.  A
+real tensor's imaginary field is a literal 0.
 """
 
 from __future__ import annotations
@@ -26,8 +31,18 @@ import numpy as np
 from .lattice import CoeffTensor, LatticeDomain, _storage_dtype, flatten
 
 SCHEMA_VERSION = 1
-# Rows per ``%`` call: bounds the floats and row prefix strings one call holds.
+# Rows per ``%`` call: bounds the numbers, templates and row strings one call holds.
 _ROWS_PER_FORMAT = 1 << 12
+# Values printed from their own digits.  At these magnitudes the scaled
+# product, its Veltkamp splits and their partial products are all normal
+# doubles; any other value takes its ``%.17g`` text as a literal template.
+_DIGIT_RANGE = (1e-280, 1e280)
+# Decimal exponents of the tables: the range above, one retry and one carry.
+_EXP_LIMIT = 284
+# The scaled product is within 1e-13 of exact; a fraction this close to
+# one half could round either way, so that value takes the literal path.
+_TIE_MARGIN = 1e-9
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitting constant for doubles
 
 
 class CoeffFileError(ValueError):
@@ -61,37 +76,209 @@ def _index_base(domain: LatticeDomain) -> list[int]:
     return [1] * domain.d + [0] * domain.d
 
 
+def _ten_pair(k: int) -> tuple[float, float]:
+    """10**k as hi + lo: hi correctly rounded, lo the correctly rounded remainder."""
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    hi = num / den  # int true division rounds correctly
+    p, q = hi.as_integer_ratio()
+    return hi, (num * q - p * den) / (den * q)
+
+
+def _template(e: int, zeros: int, negative: int) -> str:
+    """``%.17g``'s layout of 17 digits at decimal exponent e, ``zeros`` of them trailing.
+
+    Its arguments are the digits before the decimal point and, if any
+    remain, those after it without the trailing zeros (``_value_fields``).
+    Leading zeros, widths and the exponent are literal text.
+    """
+    sign = "-" if negative else ""
+    if e < -4 or e >= 17:
+        mantissa = "%d" if zeros == 16 else f"%d.%0{16 - zeros}d"
+        return f"{sign}{mantissa}e{e:+03d}"
+    if e < 0:
+        return f"{sign}0.{'0' * (-1 - e)}%d"
+    places = 16 - e - zeros
+    return f"{sign}%d.%0{places}d" if places > 0 else f"{sign}%d"
+
+
+class _DecimalTables:
+    """Powers of ten and value templates by decimal exponent, each built on first use."""
+
+    def __init__(self):
+        exponents = 2 * _EXP_LIMIT + 1
+        # Entry e + _EXP_LIMIT: 10**(16 - e) as a (hi, lo) pair.
+        self.ten_hi, self.ten_lo = np.zeros(exponents), np.zeros(exponents)
+        self.ten_known = np.zeros(exponents, dtype=bool)
+        # Code ((e + _EXP_LIMIT) * 17 + zeros) * 2 + negative, then "0" and "-0".
+        self.zero_code = exponents * 34
+        self.templates = np.empty(self.zero_code + 2, dtype=object)
+        self.templates[self.zero_code :] = ["0", "-0"]
+        self.template_known = np.zeros(self.zero_code + 2, dtype=bool)
+        self.template_known[self.zero_code :] = True
+        self.pow10 = 10 ** np.arange(18, dtype=np.int64)
+
+    def powers(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        entries = e + _EXP_LIMIT
+        for i in set(entries[~self.ten_known[entries]].tolist()):
+            self.ten_hi[i], self.ten_lo[i] = _ten_pair(16 + _EXP_LIMIT - i)
+            self.ten_known[i] = True
+        return self.ten_hi[entries], self.ten_lo[entries]
+
+    def template_list(self, code: np.ndarray) -> list[str]:
+        for c in set(code[~self.template_known[code]].tolist()):
+            self.templates[c] = _template(c // 34 - _EXP_LIMIT, c // 2 % 17, c % 2)
+            self.template_known[c] = True
+        return self.templates[code].tolist()
+
+
+_tables: _DecimalTables | None = None
+
+
+def _decimal_tables() -> _DecimalTables:
+    global _tables
+    if _tables is None:
+        _tables = _DecimalTables()
+    return _tables
+
+
+def _scaled(a: np.ndarray, e: np.ndarray, tables: _DecimalTables):
+    """a * 10**(16 - e) as an int64 part plus a small float part, within 1e-13.
+
+    Dekker's exact product of a and the power's hi (a Veltkamp split of each
+    factor, since numpy has no fma) plus a times the power's lo.
+    """
+    hi, lo = tables.powers(e)
+    product = a * hi
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    c = _SPLIT * hi
+    h_hi = c - (c - hi)
+    h_lo = hi - h_hi
+    error = ((a_hi * h_hi - product) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo
+    # product - whole is exact, whether or not the product is an integer.
+    whole = product.astype(np.int64)
+    return whole, (product - whole) + error + a * lo
+
+
+def _digits(values: np.ndarray, tables: _DecimalTables):
+    """D = round(|x| * 10**(16 - e)) and e = floor(log10 |x|) of every value.
+
+    Also a mask of the values whose D is certain: finite x in
+    ``_DIGIT_RANGE`` whose scaled product, exact to 1e-13, has a fraction at
+    least ``_TIE_MARGIN`` from one half.  The decade comes from the
+    product's floor, which must lie in [1e16, 1e17), with one retry in the
+    neighbouring decade; a round-up to 1e17 carries into the next decade.
+    """
+    a = np.abs(values)
+    certain = (a >= _DIGIT_RANGE[0]) & (a <= _DIGIT_RANGE[1])
+    a[~certain] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    whole, part = _scaled(a, e, tables)
+    below = np.floor(part)
+    d = whole + below.astype(np.int64)  # the product's floor; rounded at the end
+    off = np.flatnonzero((d < 10**16) | (d >= 10**17))
+    if off.size:
+        e[off] += np.where(d[off] < 10**16, -1, 1)
+        whole[off], part[off] = _scaled(a[off], e[off], tables)
+        below[off] = np.floor(part[off])
+        d[off] = whole[off] + below[off].astype(np.int64)
+        certain[off] &= (d[off] >= 10**16) & (d[off] < 10**17)
+    part -= below
+    certain &= np.abs(part - 0.5) >= _TIE_MARGIN
+    d += part > 0.5
+    carry = d == 10**17
+    d[carry] = 10**16
+    e += carry
+    return d, e, certain
+
+
+def _value_fields(values: np.ndarray, tables: _DecimalTables) -> tuple[list[str], list[int]]:
+    """One ``%`` template per value and the int arguments of all, in order.
+
+    Together they print each value as ``"%.17g" % value`` does: from its
+    digits (``_digits``) where those are certain, from templates of their
+    own for zeros, and as its own ``%.17g`` text otherwise.
+    """
+    d, e, certain = _digits(values, tables)
+    zeros = np.zeros(len(d), dtype=np.int64)
+    index = np.flatnonzero((d % 10 == 0) & certain)
+    rest = d[index] // 10
+    while index.size:
+        zeros[index] += 1
+        keep = rest % 10 == 0
+        index, rest = index[keep], rest[keep] // 10
+    negative = np.signbit(values)
+    code = ((e + _EXP_LIMIT) * 17 + zeros) * 2 + negative
+    zero = values == 0
+    code[zero] = tables.zero_code + negative[zero]
+    templates = tables.template_list(code)
+    for i in np.flatnonzero(~certain & ~zero).tolist():
+        templates[i] = "%.17g" % values[i]
+    # D splits at 10**cut into the part before the decimal point and the
+    # digits after it, trailing zeros dropped.
+    cut = np.where((e < -4) | (e >= 17), 16, np.where(e < 0, zeros, 16 - e))
+    args = np.empty((len(d), 2), dtype=np.int64)
+    args[:, 0], args[:, 1] = np.divmod(d, tables.pow10[cut])
+    args[:, 1] //= tables.pow10[zeros]
+    taken = np.stack([certain, certain & (cut > zeros)], axis=1)
+    return templates, np.compress(taken.ravel(), args).tolist()
+
+
+def _block_text(values: np.ndarray, index: np.ndarray, rows: list[str],
+                tables: _DecimalTables) -> str:
+    """The text of one block of rows, formatted by one ``%``.
+
+    Each row of ``index`` (file indices of the leading axes) is the prefix
+    of every literal in ``rows`` (the trailing axes).  A row's value fields
+    follow: two per row for complex ``values``, one and a literal 0 for real.
+    """
+    # Values first, so that their temporaries and the row strings below are
+    # never alive together.
+    templates, args = _value_fields(values, tables)
+    lead_fields = ",".join(["%d"] * index.shape[1])
+    prefixes = "\n".join([lead_fields] * len(index)) % tuple(index.ravel().tolist())
+    count = len(index) * len(rows)
+    if len(values) > count:
+        pieces = [None, None, None, ",", None, "\n"] * count
+        pieces[2::6], pieces[4::6] = templates[0::2], templates[1::2]
+    else:
+        pieces = [None, None, None, ",0\n"] * count
+        pieces[2::4] = templates
+    stride = len(pieces) // count
+    pieces[0::stride] = [prefix for prefix in prefixes.split("\n") for _ in rows]
+    pieces[1::stride] = rows * len(index)
+    return "".join(pieces) % tuple(args)
+
+
 def write_coeff_file(path, tensor: CoeffTensor) -> None:
     """Write a tensor in canonical order; kind is 'real' when imag is all zero."""
     data = tensor.data
     # Dtype first: ``.imag`` of float data is a fresh array of zeros.
-    complex_storage = np.iscomplexobj(data)
-    kind = "complex" if complex_storage and data.imag.any() else "real"
+    kind = "complex" if np.iscomplexobj(data) and data.imag.any() else "real"
     domain = tensor.domain
     shape, base = domain.grid_shape, _index_base(domain)
     # The trailing axes whose rows fit in a block are spelled out once as
-    # row templates; each run of those rows takes one prefix string for the
-    # leading axes (at least the first).  A real value's imaginary field is 0.
+    # row literals; each run of those rows takes one prefix string for the
+    # leading axes (at least the first).
     lead = len(shape)
     while lead > 1 and math.prod(shape[lead - 1 :]) <= _ROWS_PER_FORMAT:
         lead -= 1
-    rows = [",%.17g,%.17g\n" if complex_storage else ",%.17g,0\n"]
+    rows = [","]
     for n, b in zip(reversed(shape[lead:]), reversed(base[lead:])):
-        rows = [f",{i}" + row for i in range(b, b + n) for row in rows]
+        fields = [f",{i}" for i in range(b, b + n)]
+        rows = [field + row for field in fields for row in rows]
     run = len(rows)
     run_count, runs_per_block = domain.size // run, _ROWS_PER_FORMAT // run
     values = data.view(np.float64).reshape(domain.size, -1)
-    lead_fields = ",".join(["%d"] * lead)
+    tables = _decimal_tables()
     with open(path, "w", encoding="ascii") as handle:
         handle.write(_header(domain, kind) + "\n")
         for first in range(0, run_count, runs_per_block):
             runs = np.arange(first, min(first + runs_per_block, run_count))
             index = np.column_stack(np.unravel_index(runs, shape[:lead])) + base[:lead]
-            prefixes = "\n".join([lead_fields] * len(runs)) % tuple(index.ravel().tolist())
-            # ``prefix.join`` puts the prefix before every row of the run but the first.
-            template = "".join([prefix + prefix.join(rows) for prefix in prefixes.split("\n")])
-            block = values[first * run : (first + len(runs)) * run]
-            handle.write(template % tuple(block.ravel().tolist()))
+            block = values[first * run : (first + len(runs)) * run].ravel()
+            handle.write(_block_text(block, index, rows, tables))
 
 
 def _read_lines(path) -> list[str]:

@@ -43,8 +43,10 @@ from util import (
 )
 
 HEADER_1D = '{"schema": 1, "d": 1, "L": [2], "N": [1], "kind": "%s"}\n'
+# 1e23 is the double just below 10^23 (log10 rounds it into the next
+# decade); 2^-25 is an exact tie at 17 digits.
 EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1.1125369292536007e-308, 1e308, -1e308,
-               1.7976931348623157e308)
+               1.7976931348623157e308, 1e23, 2.0**-25)
 # The complex tensor of TestCoeffFile.test_golden_text, as the writer spells it.
 GOLDEN_COMPLEX = """\
 {"L": [11, 1], "N": [2, 1], "d": 2, "kind": "complex", "schema": 1}
@@ -206,6 +208,50 @@ class TestCoeffFile:
                 write_coeff_file(ours, tensor)
                 write_coeff_file_by_table(oracle, tensor)
                 assert ours.read_bytes() == oracle.read_bytes()
+
+    @staticmethod
+    def written_values(path, values):
+        """The writer's text for each value, as the value fields of complex rows."""
+        values = np.asarray(values, dtype=np.float64)
+        dom = LatticeDomain((len(values) // 2,), (1,))
+        write_coeff_file(path, CoeffTensor(dom, values.view(np.complex128)))
+        return [field for line in path.read_text().splitlines()[1:]
+                for field in line.split(",")[2:]]
+
+    def test_value_text_is_percent_17g_on_edges(self, tmp_path):
+        # Every power of two; 10^k and both float neighbours for every decade
+        # (the doubles nearest 1e-14 and 1e98 lie just below them and round
+        # up into the next decade); k * 2^-25 for |k| <= 4096, exact 17-digit
+        # ties at k = 1 and 3; the edges of the digit path's range and of its
+        # 17-digit window; all with both signs.
+        tens = [float(10**k) if k >= 0 else 1 / 10**-k for k in range(-323, 309)]
+        edges = [1e-280, 1e280, 1e16, 1e17, 9.9999999999999999e22, 1e-14, 1e98, 1e-4, 1e-5]
+        values = np.array([
+            *(2.0**k for k in range(-1074, 1024)),
+            *tens, *np.nextafter(tens, 0.0), *np.nextafter(tens, np.inf),
+            *(k * 2.0**-25 for k in range(-4096, 4097)),
+            *edges, *np.nextafter(edges, 0.0), *np.nextafter(edges, np.inf), *EDGE_VALUES,
+        ])
+        values = np.concatenate([values, -values])
+        got = self.written_values(tmp_path / "edges.csv", values)
+        expected = ["%.17g" % v for v in values.tolist()]
+        assert [(v, g, w) for v, g, w in zip(values.tolist(), got, expected) if g != w] == []
+
+    def test_value_text_is_percent_17g_on_random_bits(self, tmp_path):
+        # Fresh patterns every run: 10^5 over all finite doubles and 10^5
+        # with exponents inside the digit path's range (|x| in 1e-280..1e280).
+        seed = np.random.SeedSequence().entropy
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2**64, 10**5, dtype=np.uint64, endpoint=False)
+        inside = rng.integers(0, 2**52, 10**5, dtype=np.uint64) | (
+            rng.integers(1023 - 930, 1023 + 930, 10**5, dtype=np.uint64) << np.uint64(52))
+        values = np.concatenate([bits.view(np.float64), inside.view(np.float64)])
+        values = values[np.isfinite(values)]
+        values = values[: len(values) // 2 * 2]
+        got = self.written_values(tmp_path / "bits.csv", values)
+        expected = ["%.17g" % v for v in values.tolist()]
+        bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, expected) if g != w]
+        assert bad == [], f"seed {seed}"
 
     def test_write_memory_bounded_by_block(self, tmp_path):
         # A last axis of 2^17 gets its row prefixes one block at a time:
@@ -918,6 +964,7 @@ class TestBenchCommand:
         ("--repeats", "-1"),
         ("--min-exp", "12", "--max-exp", "11"),
         ("--min-exp", "6", "--max-exp", "8"),  # 2^6 does not exceed the fixed 64 shifts
+        ("--min-exp", "-1", "--max-exp", "8"),  # rejected before any 1 << min_exp
     ])
     def test_bad_argument_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
         def no_work(*args, **kwargs):
@@ -933,6 +980,11 @@ class TestBenchCommand:
         assert captured.err.startswith("error: ")
         assert "noisy" not in captured.err
         assert not out.exists()
+        if argv[0] == "--min-exp" and int(argv[1]) < 7:
+            assert captured.err == (
+                "error: min_exp must be at least 7: 2**min_exp must exceed "
+                "the fixed 16 depths and 64 shifts\n"
+            )
 
     def test_unwritable_out_exit_1(self, tmp_path, capsys):
         code, status, captured = run_cli(
@@ -991,6 +1043,30 @@ class TestUsage:
 
     def test_missing_required_exit_1(self, capsys):
         assert main(["sopw"]) == 1
+
+    # A size too large for the machine (bench --min-exp 40, a 10^13-point
+    # grid) fails to allocate; each stand-in raises that MemoryError without
+    # allocating.
+    @pytest.mark.parametrize("name, argv, message", [
+        ("random_tensor", ("bench", "--min-exp", "10", "--max-exp", "11"), ""),
+        ("_abscissae", ("sopw", "--L", "8", "--N", "4", "--grid", "64", "--plot", "fig.svg",
+                        "--table", "t.csv"),
+         "Unable to allocate 72.8 TiB"),
+        ("_abscissae", ("cpw", "--L", "8", "--N", "4", "--outdir", "run"),
+         "Unable to allocate 72.8 TiB"),
+    ], ids=["bench", "sopw", "cpw"])
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch, name, argv, message):
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, name, no_memory)
+        monkeypatch.chdir(tmp_path)
+        code, status, captured = run_cli(capsys, *argv)
+        assert code == 2
+        assert status is None
+        detail = f": {message}" if message else ""
+        assert captured.err == f"error: out of memory{detail}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_module_entrypoint(self, tmp_path):
         # ``python -m shiftortho`` runs __main__.py and cli.entrypoint() in a
