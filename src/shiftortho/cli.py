@@ -445,9 +445,15 @@ def cmd_bench(args) -> int:
             f"warning: {args.repeats} repeats gives noisy medians; 5+ recommended",
             file=sys.stderr,
         )
-    # Opened before the sweep, so an unwritable path fails before any work.
+    # Opened before the sweep, so an unwritable path fails before any work,
+    # and removed again if the sweep fails.
     with open(args.out, "w", encoding="ascii") if args.out else contextlib.nullcontext() as out:
-        report = run_bench(args.min_exp, args.max_exp, args.repeats, seed=args.seed)
+        try:
+            report = run_bench(args.min_exp, args.max_exp, args.repeats, seed=args.seed)
+        except BaseException:
+            if out:
+                os.remove(args.out)
+            raise
         if out:
             json.dump(report, out, indent=2, sort_keys=True)
             out.write("\n")

@@ -321,7 +321,7 @@ def _read_header(line: str) -> tuple[LatticeDomain, str]:
     if header["kind"] not in ("real", "complex"):
         raise CoeffFileError(f"unknown value kind {header['kind']!r}", row=1)
     for key in ("L", "N"):
-        # LatticeDomain coerces with int(), so 2.5, "2" and true would pass it.
+        # LatticeDomain rejects these as well; checked here for the header's wording.
         value = header[key]
         if not isinstance(value, list) or not all(type(v) is int for v in value):
             raise CoeffFileError(f"header {key!r} must be a list of integers", row=1)

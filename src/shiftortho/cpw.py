@@ -10,28 +10,29 @@ thresholding on the grid.
 The projection never leaves Fourier-bucket coordinates: the B-transform
 columns of the basis expansion of a band-limited field are its Fourier
 coefficients grouped by residue class mod the shift count, so projecting a
-field's spectrum is a gather into columns, the per-frequency deflation, a
-scaling to unit norm (the kernel's normalize stage only when a column
-vanishes) and a scatter back.  Grid fields stay real; the feasibility
-iterate and its Bregman variable are kept as spectra, the projected one on
-the band slots only.  Each iteration takes two grid FFTs: a forward one
-for the Helmholtz right-hand side, and one inverse FFT of
-``psi_hat + i v_hat`` whose real and imaginary parts are the field for the
-shrink and the projected field for the L1 term.  Since that packing hides
-the imaginary part of the projected field, the realness diagnostic
-``max_imag`` is an upper bound on it computed from the band coefficients'
-departure from Hermitian symmetry.
+field's spectrum is one block product per class into columns, with the
+earlier modes' per-frequency deflation folded into the blocks once per
+solve, a scaling to unit norm (the kernel's normalize stage only when a
+column vanishes) and one block product per class back.  Grid fields stay
+real; the feasibility iterate and its Bregman variable are kept as
+spectra, the projected one on the band slots only.  Each iteration takes
+two grid FFTs: a forward one for the Helmholtz right-hand side, and one
+inverse FFT of ``psi_hat + i v_hat`` whose real and imaginary parts are
+the field for the shrink and the projected field for the L1 term.  Since
+that packing hides the imaginary part of the projected field, the
+realness diagnostic ``max_imag`` is an upper bound on it computed from
+the band coefficients' departure from Hermitian symmetry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .btransform import b_inverse
-from .lattice import CoeffTensor, DomainMismatchError
+from .lattice import CoeffTensor, DomainMismatchError, _integer
 from .projection import (
     DEFAULT_CONFIG,
     InfeasibleDeflationError,
@@ -39,7 +40,7 @@ from .projection import (
     is_shift_orthogonal,
     normalize_columns,
 )
-from .sopw import SopwBasis1D, analyze_spectrum, band_map, synthesize_spectrum
+from .sopw import BandMap, SopwBasis1D, analyze_spectrum, band_map, synthesize_spectrum
 
 # Not called by the loop, but kept importable from this module:
 # perfbench/spans.py rebinds these names here when it traces a solve.
@@ -95,6 +96,8 @@ class CpwConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.grid_size is not None:
+            _integer(self.grid_size, "grid_size")
         if not self.mu > 0:
             raise ValueError("mu must be positive (inf allowed)")
         if self.lam is not None and not 0 < self.lam < math.inf:
@@ -103,11 +106,11 @@ class CpwConfig:
             raise ValueError("r must be finite and positive")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be finite and positive")
-        if self.max_iter < 1:
+        if _integer(self.max_iter, "max_iter") < 1:
             raise ValueError("max_iter must be >= 1")
         if self.init not in ("gaussian", "random"):
             raise ValueError("init must be 'gaussian' or 'random'")
-        if self.seed < 0:
+        if _integer(self.seed, "seed") < 0:
             raise ValueError("seed must be >= 0")
 
     def resolve(self, basis: SopwBasis1D, num_prior_modes: int = 0):
@@ -257,6 +260,17 @@ def _unit_columns(columns: np.ndarray, eps: float,
     return columns
 
 
+def _fold_deflation(bands: BandMap, mode_columns: list[np.ndarray]) -> BandMap:
+    """``bands`` with the analysis rows of shells 1..depth_cap deflated by ``I - Q_j Q_j^H``.
+
+    ``Q_j`` stacks the mode columns at frequency ``j``; the cap row stays.
+    """
+    q = np.stack(mode_columns, axis=-1).transpose(1, 0, 2)
+    analysis = bands.analysis.copy()
+    analysis[:, :-1] -= q @ (q.conj().transpose(0, 2, 1) @ analysis[:, :-1])
+    return replace(bands, analysis=analysis)
+
+
 def _initial_field(cfg: CpwConfig, basis: SopwBasis1D, grid_size: int) -> np.ndarray:
     period = float(basis.num_shifts)
     x = np.arange(grid_size) * period / grid_size
@@ -298,21 +312,14 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D):
     mode_columns = prev.span.columns
     eps = DEFAULT_CONFIG.resolve_eps(domain.depth_count)
     bands = band_map(basis, grid_size)
+    if mode_columns:
+        bands = _fold_deflation(bands, mode_columns)
     band_symbol = symbol[bands.slots]
     band_r_h = r_h[bands.slots]
-    # The modes are fixed for the solve, so the deflation stage of the
-    # column kernel becomes one batched product with the per-frequency
-    # projectors I - Q_j Q_j^H (shift_count x depth x depth).
-    projector = None
-    if mode_columns:
-        q = np.stack(mode_columns, axis=-1).transpose(1, 0, 2)
-        projector = np.eye(domain.depth_count) - q @ q.conj().transpose(0, 2, 1)
 
     def project(spectrum):
         """Projected field's band spectrum, its unit columns, squared analysis residual."""
         columns, squared = analyze_spectrum(spectrum, bands)
-        if projector is not None:
-            columns = (projector @ columns.T[:, :, None])[:, :, 0].T
         columns = _unit_columns(columns, eps, mode_columns)
         return synthesize_spectrum(columns, bands), columns, squared
 

@@ -13,6 +13,7 @@ matches the usual conventions for frequency shells and lattice translates.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,13 @@ MAX_DIMENSION = 3
 def _storage_dtype(imag: np.ndarray) -> type:
     """float64 if no value of ``imag`` is nonzero (``-0.0`` counts as zero), else complex128."""
     return np.complex128 if imag.any() else np.float64
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an ``int``; anything but an integer (``bool`` included) raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class DomainMismatchError(ValueError):
@@ -42,8 +50,8 @@ class LatticeDomain:
     depths: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "shifts", tuple(int(v) for v in self.shifts))
-        object.__setattr__(self, "depths", tuple(int(v) for v in self.depths))
+        object.__setattr__(self, "shifts", tuple(_integer(v, "shifts entry") for v in self.shifts))
+        object.__setattr__(self, "depths", tuple(_integer(v, "depths entry") for v in self.depths))
         d = len(self.shifts)
         if not 1 <= d <= MAX_DIMENSION:
             raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}, got {d}")

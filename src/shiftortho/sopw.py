@@ -4,11 +4,13 @@ Each basis element lives on a frequency shell (its depth index) and is a
 lattice translate of the shell generator (its shift index).  The family is
 defined through exact Fourier coefficients, so the B-transform columns of
 a basis expansion are the band Fourier coefficients grouped by residue
-class mod the shift count.  Band coefficients are plain arrays over the
-modes ``-band_limit..band_limit``.  This module builds the coefficient
-tables and the band maps between band modes and transform columns,
-analyzes and synthesizes spectra with one helper pair over a band map
-(shared by the grid transforms and the CPW solver), evaluates the closed
+class mod the shift count: column ``j`` of every shell is a small linear
+map of the band modes ``n = -j mod L`` alone.  Band coefficients are
+plain arrays over the modes ``-band_limit..band_limit``.  This module
+builds the coefficient tables and the band maps, which hold one analysis
+and one synthesis block per residue class, analyzes and synthesizes
+spectra with one batched block product each over a band map (shared by
+the grid transforms and the CPW solver), evaluates the closed
 pointwise forms, expands first/second derivatives over neighbouring
 shells, and runs the numerical primal-dual certificate showing the
 depth-1 generator minimizes kinetic energy among shift-orthogonal
@@ -28,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .btransform import b_inverse, b_transform
-from .lattice import CoeffTensor, LatticeDomain
+from .lattice import CoeffTensor, LatticeDomain, _integer
 
 # Powers of the imaginary unit, exact.
 _IPOW = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
@@ -50,8 +52,8 @@ class SopwBasis1D:
     depth_cap: int
 
     def __post_init__(self):
-        object.__setattr__(self, "num_shifts", int(self.num_shifts))
-        object.__setattr__(self, "depth_cap", int(self.depth_cap))
+        object.__setattr__(self, "num_shifts", _integer(self.num_shifts, "num_shifts"))
+        object.__setattr__(self, "depth_cap", _integer(self.depth_cap, "depth_cap"))
         if self.num_shifts < 2 or self.num_shifts % 2 != 0:
             raise ValueError(
                 f"shift count must be even and >= 2, got {self.num_shifts}"
@@ -121,69 +123,48 @@ def sopw_fourier_coeffs(k: int, j: int, basis: SopwBasis1D):
 
 @dataclass(frozen=True)
 class BandMap:
-    """Two-term gathers between the band modes of a source array and B-transform columns.
+    """One analysis and one synthesis block per residue class of a source's band modes.
 
     The source (band coefficients, or a grid FFT) holds mode ``n`` at
-    ``slots[n + band_limit]``.  Every band mode belongs to one shell as
-    interior or upper edge and, if it is an edge, also to the next shell
-    (shell ``depth_cap + 1`` is the virtual one above the cap).  Mode ``n``
-    feeds transform column ``j = -n mod L`` of each shell owning it, so
-    every (shell, column) slot has one interior mode or the two edge modes
-    ``+-n`` as sources, and every mode has one or two slots.  Rows of
-    ``*_src`` index the source or the flat columns; ``*_weight`` is zero
-    where a slot or mode has a single partner.  Analysis weights are ``L``
-    times the conjugate synthesis coefficients; both include the source's
-    scale.  Off-band source entries (``outside``) count ``outside_weight``
-    times their squared magnitude in the squared analysis residual.
+    ``slots[n + band_limit]``.  Column ``j`` of every shell is a linear map
+    of the class ``n = -j mod L`` alone.  Row ``j`` of ``classes`` holds
+    its ``K = depth_cap + 1`` source indices in increasing mode order; a
+    class one mode short ends on an index with zero block entries.  The
+    analysis blocks are ``L`` times the conjugate transposed synthesis
+    blocks, plus a row for the shell above the cap; both include the
+    source's scale.  Off-band source entries (``outside``) count
+    ``outside_weight`` times their squared magnitude in the squared
+    analysis residual.
     """
 
     slots: np.ndarray
-    gather_src: np.ndarray  # (2, depth_cap + 1, L) into the source
-    gather_weight: np.ndarray
-    scatter_src: np.ndarray  # (2, band size) into flat (depth_cap, L) columns
-    scatter_weight: np.ndarray
+    classes: np.ndarray  # (L, K) into the source
+    order: np.ndarray  # flat (L, K) position of each mode -band_limit..band_limit
+    analysis: np.ndarray  # (L, depth_cap + 1, K): shells 1..depth_cap + 1
+    synthesis: np.ndarray  # (L, K, depth_cap)
     outside: slice
     outside_weight: float
-
-
-def _pair_table(targets: np.ndarray, sources: np.ndarray, weights: np.ndarray,
-                size: int):
-    """Two-row gather giving each of ``size`` targets its one or two sources."""
-    order = np.argsort(targets, kind="stable")
-    targets, sources, weights = targets[order], sources[order], weights[order]
-    repeat = np.zeros(targets.size, dtype=bool)
-    repeat[1:] = targets[1:] == targets[:-1]
-    src = np.zeros((2, size), dtype=np.intp)
-    weight = np.zeros((2, size), dtype=np.complex128)
-    for row, pick in enumerate((~repeat, repeat)):
-        src[row, targets[pick]] = sources[pick]
-        weight[row, targets[pick]] = weights[pick]
-    return src, weight
 
 
 @lru_cache(maxsize=64)
 def _band_tables(basis: SopwBasis1D) -> BandMap:
     num_shifts, depth_cap = basis.num_shifts, basis.depth_cap
     band = basis.band_limit
-    # One entry per (shell, band mode) pair: the shift-0 coefficient of the
-    # shell generator, and the flat transform slot the mode feeds.
-    entries = [
-        ((k - 1) * num_shifts + (-n) % num_shifts, n + band, c)
-        for k in range(1, depth_cap + 2)
-        for n, c in sopw_fourier_coeffs(k, 0, basis)
-        if abs(n) <= band
-    ]
-    slots, modes, coeffs = map(np.array, zip(*entries))
-    gather_src, gather_weight = _pair_table(
-        slots, modes, num_shifts * np.conj(coeffs), (depth_cap + 1) * num_shifts
-    )
-    in_cap = slots < depth_cap * num_shifts
-    scatter_src, scatter_weight = _pair_table(
-        modes[in_cap], slots[in_cap], coeffs[in_cap], 2 * band + 1
-    )
-    shape = (2, depth_cap + 1, num_shifts)
-    return BandMap(np.arange(2 * band + 1), gather_src.reshape(shape),
-                   gather_weight.reshape(shape), scatter_src, scatter_weight, slice(0), 0.0)
+    index = np.arange(2 * band + 1)
+    width = depth_cap + 1
+    # Mode n = index - band is entry index // L of class -n mod L; only the
+    # class of the edge modes +-band has all depth_cap + 1 entries.
+    column, entry = (band - index) % num_shifts, index // num_shifts
+    classes = np.zeros((num_shifts, width), dtype=np.intp)
+    classes[column, entry] = index
+    # The shift-0 coefficients of the shell generators, by class entry.
+    coeffs = np.zeros((num_shifts, depth_cap + 1, width), dtype=np.complex128)
+    for k in range(1, depth_cap + 2):
+        for n, c in sopw_fourier_coeffs(k, 0, basis):
+            if abs(n) <= band:
+                coeffs[column[n + band], k - 1, entry[n + band]] = c
+    return BandMap(index, classes, column * width + entry, num_shifts * np.conj(coeffs),
+                   np.ascontiguousarray(coeffs[:, :-1].transpose(0, 2, 1)), slice(0), 0.0)
 
 
 def band_map(basis: SopwBasis1D, grid_size: int) -> BandMap:
@@ -195,9 +176,8 @@ def band_map(basis: SopwBasis1D, grid_size: int) -> BandMap:
     tabs = _band_tables(basis)
     # Grid FFT values on the band times this are basis Fourier coefficients.
     to_band = math.sqrt(basis.num_shifts) / grid_size
-    return BandMap(slots, slots[tabs.gather_src], to_band * tabs.gather_weight,
-                   tabs.scatter_src, tabs.scatter_weight / to_band,
-                   slice(band + 1, grid_size - band), to_band**2)
+    return BandMap(slots, slots[tabs.classes], tabs.order, to_band * tabs.analysis,
+                   tabs.synthesis / to_band, slice(band + 1, grid_size - band), to_band**2)
 
 
 def analyze_spectrum(source: np.ndarray, bands: BandMap):
@@ -205,23 +185,21 @@ def analyze_spectrum(source: np.ndarray, bands: BandMap):
 
     Returns ``(columns, squared_residual)``.  Column ``j`` of shell ``k`` is
     ``L`` times the sum of the conjugate shell-``k`` weights times ``a(n)``
-    over the modes ``n = -j mod L`` that shell owns, so no FFT is needed.
-    The residual is what the expansion drops: the part on the shell above
-    the cap (which shares the topmost edge modes) and the off-band entries.
+    over the modes ``n = -j mod L`` that shell owns: one block product per
+    class, no FFT.  The residual is the part the expansion drops, on the
+    shell above the cap (which shares the topmost edge modes) and off band.
     """
-    terms = bands.gather_weight * source[bands.gather_src]
-    full = terms[0] + terms[1]
+    full = (bands.analysis @ source[bands.classes][:, :, None])[:, :, 0]
     outside = source[bands.outside]
-    # The cap row, full[-1], holds one column per shift.
-    squared = (np.vdot(full[-1], full[-1]).real / full.shape[1]
+    # The cap entries, full[:, -1], hold one column per shift.
+    squared = (np.vdot(full[:, -1], full[:, -1]).real / full.shape[0]
                + bands.outside_weight * np.vdot(outside, outside).real)
-    return full[:-1], squared
+    return full[:, :-1].T, squared
 
 
 def synthesize_spectrum(columns: np.ndarray, bands: BandMap) -> np.ndarray:
     """Band mode values, in order ``-band_limit..band_limit``, of the field with ``columns``."""
-    terms = bands.scatter_weight * columns.reshape(-1)[bands.scatter_src]
-    return terms[0] + terms[1]
+    return (bands.synthesis @ columns.T[:, :, None]).reshape(-1)[bands.order]
 
 
 def eval_closed_form(k: int, j: int, x: float, basis: SopwBasis1D) -> float:

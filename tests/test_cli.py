@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -1009,6 +1010,19 @@ class TestBenchCommand:
         assert captured.err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_sweep_removes_out_file(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_bench", no_memory)
+        code, status, captured = run_cli(
+            capsys, "bench", "--min-exp", "10", "--max-exp", "11", "--out", str(tmp_path / "b.json")
+        )
+        assert code == 2
+        assert status is None
+        assert captured.err == "error: out of memory\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_collector_state_restored(self):
         enabled = gc.isenabled()
         try:
@@ -1067,6 +1081,16 @@ class TestUsage:
         detail = f": {message}" if message else ""
         assert captured.err == f"error: out of memory{detail}\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_version_matches_pyproject(self, capsys):
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        # The [project] table runs up to the next table header.
+        project = re.search(r"^\[project\]$(.*?)(?=^\[)", text, re.M | re.S).group(1)
+        version = re.search(r'^version\s*=\s*"([^"]+)"$', project, re.M).group(1)
+        with pytest.raises(SystemExit) as info:
+            main(["--version"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out == f"{version}\n"
 
     def test_module_entrypoint(self, tmp_path):
         # ``python -m shiftortho`` runs __main__.py and cli.entrypoint() in a

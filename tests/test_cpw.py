@@ -29,6 +29,7 @@ from shiftortho import (
 )
 from shiftortho.cpw import _energy, _imag_bound, _kinetic_symbol, _unit_columns
 from shiftortho.projection import DEFAULT_CONFIG, normalize_columns
+from shiftortho.sopw import analyze_spectrum, band_map
 from util import gram_shift, grid_bregman_reference, theta_energy
 
 
@@ -383,6 +384,51 @@ class TestUnitColumns:
         assert not np.allclose(result[:, 5], columns[:, 5] / np.linalg.norm(columns[:, 5]))
 
 
+class TestDeflationFold:
+    """The solver's deflation, folded into the analysis blocks once per solve."""
+
+    basis = SopwBasis1D(8, 4)
+    grid_size = 64
+
+    @pytest.fixture(scope="class")
+    def modes(self):
+        modes, _ = solve_cpw_modes(3, CpwConfig(grid_size=self.grid_size, max_iter=200),
+                                   self.basis)
+        return modes
+
+    @pytest.mark.parametrize("prior_modes", [1, 2, 3])
+    def test_folded_analysis_equals_deflated_analysis(self, modes, prior_modes):
+        mode_columns = modes.span.columns[:prior_modes]
+        bands = band_map(self.basis, self.grid_size)
+        folded = cpw._fold_deflation(bands, mode_columns)
+        q = np.stack(mode_columns)
+        rng = np.random.default_rng(prior_modes)
+        for _ in range(5):
+            source = rng.standard_normal(self.grid_size) + 1j * rng.standard_normal(self.grid_size)
+            columns, squared = analyze_spectrum(source, bands)
+            inners = np.einsum("mdj,dj->mj", q.conj(), columns)
+            expected = columns - np.einsum("mdj,mj->dj", q, inners)
+            result, folded_squared = analyze_spectrum(source, folded)
+            assert np.abs(result - expected).max() <= 1e-15 * np.abs(expected).max()
+            assert folded_squared == squared
+
+    def test_start_in_prior_span_takes_kernel_fallback(self, modes, monkeypatch):
+        prior = CpwModeSet(self.basis)
+        prior.add(modes.modes[0])
+        # A combination of the first mode and one of its lattice shifts.
+        samples = modes.modes[0].samples
+        start = 0.7 * samples + 0.3 * np.roll(samples, self.grid_size // self.basis.num_shifts)
+        monkeypatch.setattr(cpw, "_initial_field", lambda *args: start)
+        calls = count_calls(monkeypatch, cpw, "normalize_columns")
+        mode, diag = solve_cpw_mode(prior, CpwConfig(grid_size=self.grid_size, max_iter=50),
+                                    self.basis)
+        assert calls
+        assert diag.final_violation <= 1e-12
+        report = check_shift_perpendicular(mode.coeffs, prior.modes[0].coeffs, 1e-12)
+        assert report.is_perpendicular
+        prior.add(mode)
+
+
 class TestAgainstGridReference:
     """The bucket-coordinate loop against the tensor round trip it replaced."""
 
@@ -439,6 +485,21 @@ class TestConfigAndModeSet:
         for bad in ({"lam": math.inf}, {"r": math.inf}, {"tol": math.inf}):
             with pytest.raises(ValueError, match="finite"):
                 CpwConfig(**bad)
+
+    @pytest.mark.parametrize("field,bad", [
+        ("max_iter", 3.5), ("max_iter", True), ("max_iter", "5"),
+        ("grid_size", 64.0), ("grid_size", np.float64(64)), ("seed", 1.5), ("seed", False),
+    ])
+    def test_non_integer_counts_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            CpwConfig(init="random", **{field: bad})
+
+    def test_numpy_integer_counts_accepted(self):
+        basis = SopwBasis1D(8, 4)
+        cfg = CpwConfig(max_iter=np.int64(3), grid_size=np.int32(64), seed=np.uint8(2),
+                        init="random")
+        _, diag = solve_cpw_mode(None, cfg, basis)
+        assert diag.iterations == 3
 
     def test_default_grid_size_resolves_from_basis(self):
         basis = SopwBasis1D(8, 4)

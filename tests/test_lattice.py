@@ -43,6 +43,20 @@ class TestDomain:
         with pytest.raises(ValueError):
             LatticeDomain(shifts, depths)
 
+    @pytest.mark.parametrize("shifts,depths,field", [
+        ((2.5,), (3,), "shifts"), ((2.0,), (3,), "shifts"), (("4",), (3,), "shifts"),
+        ((True,), (3,), "shifts"), ((4,), (np.float64(3),), "depths"),
+        ((4, 4), (2, False), "depths"), ((4,), (np.bool_(True),), "depths"),
+    ])
+    def test_non_integer_sizes_rejected(self, shifts, depths, field):
+        with pytest.raises(ValueError, match=f"{field} entry must be an integer"):
+            LatticeDomain(shifts, depths)
+
+    def test_numpy_integer_sizes_accepted(self):
+        dom = LatticeDomain(np.array([4, 2]), (np.int32(3), np.uint8(1)))
+        assert dom == LatticeDomain((4, 2), (3, 1))
+        assert all(type(v) is int for v in dom.shifts + dom.depths)
+
     def test_tensor_validation(self):
         dom = LatticeDomain((2,), (2,))
         with pytest.raises(ValueError):

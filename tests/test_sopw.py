@@ -22,6 +22,7 @@ from shiftortho import (
     synthesize_grid,
     verify_variational_certificate,
 )
+from shiftortho.sopw import _band_tables
 from util import (
     direct_b_inverse,
     direct_b_transform,
@@ -58,6 +59,19 @@ class TestBasisConstruction:
             SopwBasis1D(7, 3)
         with pytest.raises(ValueError):
             SopwBasis1D(1, 3)
+
+    @pytest.mark.parametrize("num_shifts,depth_cap,field", [
+        (16.7, 8, "num_shifts"), (16.0, 8, "num_shifts"), ("4", 2, "num_shifts"),
+        (True, 2, "num_shifts"), (16, 2.9, "depth_cap"), (16, True, "depth_cap"),
+    ])
+    def test_non_integer_sizes_rejected(self, num_shifts, depth_cap, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SopwBasis1D(num_shifts, depth_cap)
+
+    def test_numpy_integer_sizes_accepted(self):
+        basis = SopwBasis1D(np.int64(16), np.uint8(8))
+        assert basis == SopwBasis1D(16, 8)
+        assert type(basis.num_shifts) is int and type(basis.depth_cap) is int
 
     def test_element_indices_checked(self):
         basis = SopwBasis1D(8, 3)
@@ -190,6 +204,36 @@ class TestFourierConversion:
 
 
 GATHER_SIZES = [(2, 1), (4, 3), (8, 4), (16, 8)]
+
+
+class TestBandBlocks:
+    """The per-class blocks of the band-coefficient map."""
+
+    @pytest.mark.parametrize("depth_cap", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("num_shifts", [2, 4, 6, 8, 16])
+    def test_analysis_is_scaled_adjoint_of_synthesis(self, num_shifts, depth_cap):
+        bands = _band_tables(SopwBasis1D(num_shifts, depth_cap))
+        adjoint = num_shifts * np.conj(bands.synthesis.transpose(0, 2, 1))
+        assert np.array_equal(bands.analysis[:, :-1], adjoint)
+
+    @pytest.mark.parametrize("depth_cap", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("num_shifts", [2, 4, 6, 8, 16])
+    def test_classes_hold_each_mode_once(self, num_shifts, depth_cap):
+        basis = SopwBasis1D(num_shifts, depth_cap)
+        bands = _band_tables(basis)
+        band = basis.band_limit
+        assert bands.classes.shape == (num_shifts, depth_cap + 1)
+        assert np.array_equal(bands.classes.reshape(-1)[bands.order], np.arange(2 * band + 1))
+        modes = bands.classes - band
+        # Class j holds the modes n = -j mod L in increasing order ...
+        padded = np.ones(bands.classes.shape, dtype=bool)
+        padded.reshape(-1)[bands.order] = False
+        assert np.all((modes + np.arange(num_shifts)[:, None]) % num_shifts == 0, where=~padded)
+        assert np.all(np.diff(modes, axis=1) == num_shifts, where=~padded[:, 1:])
+        # ... and only the one of the edge modes has no pad entry.
+        assert padded.sum() == num_shifts - 1 and not padded[:, :-1].any()
+        assert not bands.analysis.transpose(0, 2, 1)[padded].any()
+        assert not bands.synthesis[padded].any()
 
 
 class TestColumnGatherScatter:
