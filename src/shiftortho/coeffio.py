@@ -5,8 +5,13 @@ domain followed by one CSV row per coefficient: the 1-based depth indices,
 the 0-based shift indices, then real and imaginary parts printed as
 ``%.17g`` prints them, so doubles round-trip exactly.  Rows may arrive in
 any order but must cover every multi-index exactly once; blank lines are
-skipped.  The reader checks each row rule as one mask over the arrays of a
-single parse, and an error names the 1-based line of the file.  The writer
+skipped.  The reader reads the bytes once, for the header and its checks,
+and numpy parses the body of a regular ASCII file straight from the file,
+with no Python string per line.  A whitespace-only line, a line break that
+``str.splitlines`` sees and numpy does not (\\x0b, \\x0c, \\x1c, \\x1d,
+\\x1e) or any error sends the file through its list of lines instead, so
+both routes accept and reject the same files.  Each row rule is one mask
+over one parse's arrays; an error names the file's 1-based line.  The writer
 emits canonical (flat-index) order, which makes write(read(file))
 byte-identical for canonical files.  It formats a block of rows with one
 ``%`` whose index fields are already text (the leading ones spelled once
@@ -23,6 +28,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import re
 
 import numpy as np
 
@@ -43,6 +50,11 @@ _EXP_LIMIT = 284
 # one half could round either way, so that value takes the literal path.
 _TIE_MARGIN = 1e-9
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitting constant for doubles
+# Bytes at which ``str.splitlines`` breaks a line but numpy sees whitespace.
+_ODD_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+# numpy opens a named file through its DataSource, which decompresses by
+# suffix and fetches URLs.
+_DATASOURCE_NAME = re.compile(r"://|\.(bz2|gz|lzma|xz|zst)$")
 
 
 class CoeffFileError(ValueError):
@@ -272,19 +284,24 @@ def write_coeff_file(path, tensor: CoeffTensor) -> None:
     run_count, runs_per_block = domain.size // run, _ROWS_PER_FORMAT // run
     values = data.view(np.float64).reshape(domain.size, -1)
     tables = _decimal_tables()
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(_header(domain, kind) + "\n")
-        for first in range(0, run_count, runs_per_block):
-            runs = np.arange(first, min(first + runs_per_block, run_count))
-            index = np.column_stack(np.unravel_index(runs, shape[:lead])) + base[:lead]
-            block = values[first * run : (first + len(runs)) * run].ravel()
-            handle.write(_block_text(block, index, rows, tables))
+    handle = open(path, "w", encoding="ascii")
+    try:
+        with handle:
+            handle.write(_header(domain, kind) + "\n")
+            for first in range(0, run_count, runs_per_block):
+                runs = np.arange(first, min(first + runs_per_block, run_count))
+                index = np.column_stack(np.unravel_index(runs, shape[:lead])) + base[:lead]
+                block = values[first * run : (first + len(runs)) * run].ravel()
+                handle.write(_block_text(block, index, rows, tables))
+    except BaseException:
+        # A partial file would look like output; a device or a pipe stays.
+        if os.path.isfile(path):
+            os.remove(path)
+        raise
 
 
-def _read_lines(path) -> list[str]:
-    """Lines of an ASCII text file; a non-ASCII byte is an error on its line."""
-    with open(path, "rb") as handle:
-        raw = handle.read()
+def _split_lines(raw: bytes) -> list[str]:
+    """Lines of ASCII text; a non-ASCII byte is an error on its line."""
     try:
         lines = raw.decode("ascii").splitlines()
     except UnicodeDecodeError as exc:
@@ -296,6 +313,12 @@ def _read_lines(path) -> list[str]:
     if not lines:
         raise CoeffFileError("empty file")
     return lines
+
+
+def _read_lines(path) -> list[str]:
+    """Lines of an ASCII text file; a non-ASCII byte is an error on its line."""
+    with open(path, "rb") as handle:
+        return _split_lines(handle.read())
 
 
 def _header_object(line: str, keys: tuple[str, ...]) -> dict:
@@ -334,10 +357,42 @@ def _read_header(line: str) -> tuple[LatticeDomain, str]:
     return domain, header["kind"]
 
 
-def _parse_rows(lines: list[str], domain: LatticeDomain) -> np.ndarray:
-    """Parse body lines with numpy's C reader into ``index`` and ``value`` fields."""
+def _parse_rows(source, domain: LatticeDomain, skiprows: int = 0) -> np.ndarray:
+    """Parse body lines, or a file below its header, with numpy's C reader.
+
+    ``source`` is a list of lines or a file name; ``skiprows`` leading lines
+    are skipped.  The rows come back as ``index`` and ``value`` fields.
+    """
     dtype = np.dtype([("index", np.int64, (2 * domain.d,)), ("value", np.float64, (2,))])
-    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    return np.loadtxt(source, dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                      skiprows=skiprows, encoding="ascii")
+
+
+def _parse_file(path, raw: bytes):
+    """Domain, kind and rows of a file that numpy parses from disk, or None.
+
+    numpy reads a named file in chunks, with no Python string per line.  Its
+    rows must be the line list's non-blank body lines.  So the file is a
+    regular ASCII file (the first read drains a pipe) with none of
+    ``_ODD_BREAKS``, its name is one that numpy's DataSource opens as plain
+    text, and its body holds a comma (numpy finds no row in a body of empty
+    lines, and warns).  numpy skips empty lines and rejects whitespace-only
+    ones.  A header error, a parse error or a wrong row count also gives
+    None, so that the line list names it.  ``raw`` holds the file's bytes.
+    """
+    name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
+    if (not (isinstance(name, str) and raw.isascii() and os.path.isfile(name))
+            or _DATASOURCE_NAME.search(name) or any(mark in raw for mark in _ODD_BREAKS)):
+        return None
+    header = re.match(rb"[^\r\n]*", raw).group()
+    if raw.find(b",", len(header)) < 0:
+        return None
+    try:
+        domain, kind = _read_header(header.decode("ascii"))
+        table = _parse_rows(name, domain, skiprows=1)
+    except ValueError:  # CoeffFileError included
+        return None
+    return (domain, kind, table) if len(table) == domain.size else None
 
 
 def _check_rows(table: np.ndarray, domain: LatticeDomain, kind: str):
@@ -395,30 +450,42 @@ def _first_unparsable_row(body: list[str], domain: LatticeDomain, kind: str) -> 
 def read_coeff_file(path) -> CoeffTensor:
     """Parse a coefficient file, validating indices, coverage and finiteness.
 
-    Each row rule is one mask over the arrays of a single parse; only a
-    failed check locates the first bad file line.  The tensor is real
-    (float64) when every imaginary field is zero, whatever the header's ``kind``.
+    The bytes are read once.  numpy parses the body straight from the file
+    when ``_parse_file`` can vouch for it; any other file goes through its
+    list of lines, blank ones dropped.  Each row rule is one mask over the arrays of
+    a single parse; only a failed check locates the first bad file line.  The
+    tensor is real (float64) when every imaginary field is zero, whatever
+    the header's ``kind``.
     """
-    lines = _read_lines(path)
-    domain, kind = _read_header(lines[0])
-    body = list(filter(str.strip, lines[1:]))
-    if len(body) != domain.size:
-        raise CoeffFileError(f"expected {domain.size} coefficient rows, found {len(body)}")
-    try:
-        table = _parse_rows(body, domain)
-    except ValueError:
-        row, message = _first_unparsable_row(body, domain, kind)
-    else:
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    lines = None
+    parsed = _parse_file(path, raw)
+    if parsed is not None:
+        domain, kind, table = parsed
         flat, bad = _check_rows(table, domain, kind)
-        if bad is None:
-            values = table["value"]
-            data = np.empty(domain.size, dtype=_storage_dtype(values[:, 1]))
-            # One float64 field per stored value: the real part, or both parts.
-            fields = data.itemsize // 8
-            data.view(np.float64).reshape(-1, fields)[flat] = values[:, :fields]
-            return CoeffTensor._trusted(domain, data)
-        row, message = bad
+    else:
+        lines = _split_lines(raw)
+        domain, kind = _read_header(lines[0])
+        body = list(filter(str.strip, lines[1:]))
+        if len(body) != domain.size:
+            raise CoeffFileError(f"expected {domain.size} coefficient rows, found {len(body)}")
+        try:
+            table = _parse_rows(body, domain)
+        except ValueError:
+            bad = _first_unparsable_row(body, domain, kind)
+        else:
+            flat, bad = _check_rows(table, domain, kind)
+    if bad is None:
+        values = table["value"]
+        data = np.empty(domain.size, dtype=_storage_dtype(values[:, 1]))
+        # One float64 field per stored value: the real part, or both parts.
+        fields = data.itemsize // 8
+        data.view(np.float64).reshape(-1, fields)[flat] = values[:, :fields]
+        return CoeffTensor._trusted(domain, data)
     # ``row`` counts the non-blank body lines; the error names the file line.
+    row, message = bad
+    lines = lines or _split_lines(raw)
     file_rows = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
     raise CoeffFileError(message, row=file_rows[row])
 

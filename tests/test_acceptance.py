@@ -283,8 +283,24 @@ def test_criterion_10_complexity_scaling():
         section["label"]: section["max_doubling_ratio"]
         for section in report["sections"]
     }
-    for label, ratio in ratios.items():
-        assert ratio <= 2.6, f"{label} doubling ratio {ratio:.2f}"
+    # Every section's per-size medians, so that a noisy step can be told
+    # apart from a regression.
+    medians = "; ".join(
+        section["label"] + ": " + ", ".join(
+            f"2^{row['size'].bit_length() - 1} {row['median_seconds'] * 1e3:.3g} ms"
+            for row in section["rows"]
+        )
+        for section in report["sections"]
+    )
+    for section in report["sections"]:
+        times = [row["median_seconds"] for row in section["rows"]]
+        step = max(range(1, len(times)), key=lambda i: times[i] / times[i - 1])
+        size = section["rows"][step]["size"].bit_length() - 1
+        ratio = ratios[section["label"]]
+        assert ratio <= 2.6, (
+            f"{section['label']} doubling ratio {ratio:.2f} at 2^{size - 1} -> 2^{size}; "
+            f"medians {medians}"
+        )
     _report(
         10,
         "doubling ratios "

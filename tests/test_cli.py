@@ -48,6 +48,8 @@ HEADER_1D = '{"schema": 1, "d": 1, "L": [2], "N": [1], "kind": "%s"}\n'
 # decade); 2^-25 is an exact tie at 17 digits.
 EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1.1125369292536007e-308, 1e308, -1e308,
                1.7976931348623157e308, 1e23, 2.0**-25)
+# Line breaks for str.splitlines that numpy reads as whitespace.
+ODD_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
 # The complex tensor of TestCoeffFile.test_golden_text, as the writer spells it.
 GOLDEN_COMPLEX = """\
 {"L": [11, 1], "N": [2, 1], "d": 2, "kind": "complex", "schema": 1}
@@ -404,7 +406,8 @@ class TestCoeffFile:
         # A written file with up to three corruptions: field counts, bad
         # tokens, indices in or out of range (so repeats too), indices copied
         # from the row before, non-finite values, nonzero imaginary parts,
-        # blank lines.
+        # line breaks that numpy reads as whitespace, blank lines; its lines
+        # end in LF, CRLF or a lone CR.
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         path = tmp_path_factory.mktemp("walk") / "t.csv"
         write_coeff_file(path, random_tensor(dom, rng, real=real))
@@ -417,7 +420,7 @@ class TestCoeffFile:
             at = min(at, len(rows) - 1)
             fields = rows[at].split(",")
             how = data.draw(st.sampled_from(
-                ["drop", "extra", "token", "index", "copy", "value", "imag"]))
+                ["drop", "extra", "token", "index", "copy", "value", "imag", "break"]))
             if how == "drop":
                 fields.pop()
             elif how == "extra":
@@ -435,11 +438,18 @@ class TestCoeffFile:
                          if how == "value" else data.draw(st.sampled_from(["1e-300", "-2"])))
                 at_field = width + (1 if how == "imag" else data.draw(st.integers(0, 1)))
                 fields[min(at_field, len(fields) - 1)] = token
+            elif how == "break":
+                # Inside a field or at either edge of it.
+                at_field = data.draw(st.integers(0, len(fields) - 1))
+                cut = data.draw(st.integers(0, len(fields[at_field])))
+                field = fields[at_field]
+                mark = data.draw(st.sampled_from(ODD_BREAKS))
+                fields[at_field] = field[:cut] + mark + field[cut:]
             rows[at] = ",".join(fields)
         for _ in range(data.draw(st.integers(0, 2))):
             at = data.draw(st.integers(0, len(rows)))
-            rows.insert(at, data.draw(st.sampled_from(["", " ", "\t", "  \t "])))
-        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+            rows.insert(at, data.draw(st.sampled_from(["", " ", "\t", "  \t ", *ODD_BREAKS])))
+        newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
         path.write_bytes(newline.join([header, *rows, ""]).encode())
         try:
             expected = read_coeff_file_by_rows(path)
@@ -472,17 +482,60 @@ class TestCoeffFile:
         text = path.read_text().splitlines()
         calls, parse = [], coeffio._parse_rows
 
-        def counted(lines, domain):
-            calls.append(len(lines))
-            return parse(lines, domain)
+        def counted(source, domain, skiprows=0):
+            calls.append(source)
+            return parse(source, domain, skiprows)
 
         monkeypatch.setattr(coeffio, "_parse_rows", counted)
         error = read_error(path, "\n".join(text[:-1] + [last]) + "\n")
         assert error.row == dom.size + 1
         if semantic:
-            assert calls == [dom.size]
+            assert calls == [str(path)]  # the parse of the file itself
         else:
             assert len(calls) <= math.ceil(math.log2(dom.size)) + 3
+
+    def test_parse_budget(self, tmp_path, monkeypatch):
+        # A canonical file is one parse and no list of lines; a
+        # whitespace-only line sends the file through the line list.
+        dom = LatticeDomain((2**12,), (1,))
+        tensor = random_tensor(dom, np.random.default_rng(23))
+        path = tmp_path / "t.csv"
+        write_coeff_file(path, tensor)
+        calls, parse, split = [], coeffio._parse_rows, coeffio._split_lines
+
+        def counted_parse(*args, **kwargs):
+            calls.append("parse")
+            return parse(*args, **kwargs)
+
+        def counted_split(raw):
+            calls.append("lines")
+            return split(raw)
+
+        monkeypatch.setattr(coeffio, "_parse_rows", counted_parse)
+        monkeypatch.setattr(coeffio, "_split_lines", counted_split)
+        assert np.array_equal(read_coeff_file(path).data, tensor.data)
+        assert calls == ["parse"]
+        calls.clear()
+        text = path.read_text().splitlines()
+        path.write_text("\n".join(text[:100] + ["  "] + text[100:]) + "\n")
+        assert np.array_equal(read_coeff_file(path).data, tensor.data)
+        assert calls == ["parse", "lines", "parse"]
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+    def test_compression_suffix_read_as_text(self, tmp_path, suffix):
+        # numpy would open these names through a decompressor.
+        tensor = random_tensor(LatticeDomain((4,), (3,)), np.random.default_rng(24))
+        path = tmp_path / f"t.csv{suffix}"
+        write_coeff_file(path, tensor)
+        assert np.array_equal(read_coeff_file(path).data, tensor.data)
+
+    def test_odd_line_break_splits_the_row(self, tmp_path):
+        # numpy alone reads this body as two good rows; str.splitlines
+        # breaks the first at the form feed, which makes three.
+        body = "1,0,1.0,\x0c0.0\n1,1,2.0,0.0\n"
+        error = read_error(tmp_path / "ff.csv", HEADER_1D % "real" + body)
+        assert error.row is None
+        assert str(error) == "expected 2 coefficient rows, found 3"
 
     @pytest.mark.parametrize(
         "header",
@@ -508,6 +561,13 @@ class TestCoeffFile:
         error = read_error(tmp_path / "empty.csv", "")
         assert error.row is None
         assert "empty file" in str(error)
+
+    @pytest.mark.parametrize("body", ["", "\n\n", "\r\n\r"])
+    def test_header_without_rows(self, tmp_path, body):
+        # numpy finds no row in a body of empty lines, and warns.
+        error = read_error(tmp_path / "none.csv", HEADER_1D % "real" + body)
+        assert error.row is None
+        assert str(error) == "expected 2 coefficient rows, found 0"
 
     def test_non_ascii_byte_named_by_file_line(self, tmp_path):
         path = tmp_path / "latin.csv"
@@ -638,6 +698,27 @@ class TestProjectCommand:
         assert code == 1
         assert status is None
         assert captured.err.startswith("error: ") and "no_dir" in captured.err
+
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        source = tmp_path / "in.csv"
+        write_coeff_file(source, random_tensor(LatticeDomain((4096,), (2,)),
+                                               np.random.default_rng(10)))
+        calls, block_text = [], coeffio._block_text
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise MemoryError
+            return block_text(*args)
+
+        monkeypatch.setattr(coeffio, "_block_text", failing)
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        code, status, captured = run_cli(capsys, "project", str(source), str(outdir / "o.csv"))
+        assert code == 2
+        assert status is None
+        assert captured.err == "error: out of memory\n"
+        assert list(outdir.iterdir()) == []
 
     def test_malformed_file_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -1135,6 +1216,19 @@ class TestStartUp:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
         assert read_coeff_file(tiny_out).domain == dom
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_project_reads_a_pipe(self, tmp_path):
+        # The pipe is drained by the first read: numpy must not open the name again.
+        source, target = tmp_path / "in.csv", tmp_path / "out.csv"
+        tensor = random_tensor(LatticeDomain((4,), (2,)), np.random.default_rng(4))
+        write_coeff_file(source, tensor)
+        result = subprocess.run(
+            [sys.executable, "-c", self.PROJECT, self.SRC, "/dev/stdin", str(target)],
+            input=source.read_text(), capture_output=True, text=True, timeout=120,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert np.array_equal(read_coeff_file(target).data, project_sso(tensor).data)
 
     def test_module_help_imports_no_scipy(self):
         path = os.pathsep.join(filter(None, [self.SRC, os.environ.get("PYTHONPATH")]))
