@@ -27,6 +27,7 @@ from . import __version__
 from .coeffio import (
     CoeffFileError,
     format_rows,
+    output_file,
     read_coeff_file,
     write_coeff_file,
     write_sopw_table,
@@ -340,7 +341,7 @@ def cmd_sopw(args) -> int:
 
 def _write_csv(path, header: str, template: str, table: np.ndarray) -> None:
     # csv.writer's default dialect: CRLF rows, numbers unquoted.
-    with open(path, "w", newline="", encoding="ascii") as handle:
+    with output_file(path, newline="", encoding="ascii") as handle:
         handle.write(header + "\r\n")
         handle.write(format_rows(template, table))
 
@@ -447,13 +448,8 @@ def cmd_bench(args) -> int:
         )
     # Opened before the sweep, so an unwritable path fails before any work,
     # and removed again if the sweep fails.
-    with open(args.out, "w", encoding="ascii") if args.out else contextlib.nullcontext() as out:
-        try:
-            report = run_bench(args.min_exp, args.max_exp, args.repeats, seed=args.seed)
-        except BaseException:
-            if out:
-                os.remove(args.out)
-            raise
+    with output_file(args.out, encoding="ascii") if args.out else contextlib.nullcontext() as out:
+        report = run_bench(args.min_exp, args.max_exp, args.repeats, seed=args.seed)
         if out:
             json.dump(report, out, indent=2, sort_keys=True)
             out.write("\n")

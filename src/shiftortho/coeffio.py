@@ -26,6 +26,7 @@ real tensor's imaginary field is a literal 0.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -65,6 +66,20 @@ class CoeffFileError(ValueError):
             message = f"row {row}: {message}"
         super().__init__(message)
         self.row = row
+
+
+@contextlib.contextmanager
+def output_file(path, **open_args):
+    """``open(path, "w", **open_args)`` whose regular file is removed if the body raises."""
+    handle = open(path, "w", **open_args)
+    try:
+        with handle:
+            yield handle
+    except BaseException:
+        # A partial file would look like output; a device or a pipe stays.
+        if os.path.isfile(path):
+            os.remove(path)
+        raise
 
 
 def format_rows(template: str, table: np.ndarray) -> str:
@@ -284,20 +299,13 @@ def write_coeff_file(path, tensor: CoeffTensor) -> None:
     run_count, runs_per_block = domain.size // run, _ROWS_PER_FORMAT // run
     values = data.view(np.float64).reshape(domain.size, -1)
     tables = _decimal_tables()
-    handle = open(path, "w", encoding="ascii")
-    try:
-        with handle:
-            handle.write(_header(domain, kind) + "\n")
-            for first in range(0, run_count, runs_per_block):
-                runs = np.arange(first, min(first + runs_per_block, run_count))
-                index = np.column_stack(np.unravel_index(runs, shape[:lead])) + base[:lead]
-                block = values[first * run : (first + len(runs)) * run].ravel()
-                handle.write(_block_text(block, index, rows, tables))
-    except BaseException:
-        # A partial file would look like output; a device or a pipe stays.
-        if os.path.isfile(path):
-            os.remove(path)
-        raise
+    with output_file(path, encoding="ascii") as handle:
+        handle.write(_header(domain, kind) + "\n")
+        for first in range(0, run_count, runs_per_block):
+            runs = np.arange(first, min(first + runs_per_block, run_count))
+            index = np.column_stack(np.unravel_index(runs, shape[:lead])) + base[:lead]
+            block = values[first * run : (first + len(runs)) * run].ravel()
+            handle.write(_block_text(block, index, rows, tables))
 
 
 def _split_lines(raw: bytes) -> list[str]:
@@ -503,6 +511,6 @@ def write_sopw_table(path, basis, table) -> None:
         for (depth, shift_idx), entries in table
         for mode, value in entries
     ]
-    with open(path, "w", encoding="ascii") as handle:
+    with output_file(path, encoding="ascii") as handle:
         handle.write(json.dumps(payload, sort_keys=True, separators=(", ", ": ")) + "\n")
         handle.write(format_rows("%d,%d,%d,%.17g,%.17g\n", np.array(rows, dtype=object)))

@@ -10,18 +10,23 @@ thresholding on the grid.
 The projection never leaves Fourier-bucket coordinates: the B-transform
 columns of the basis expansion of a band-limited field are its Fourier
 coefficients grouped by residue class mod the shift count, so projecting a
-field's spectrum is one block product per class into columns, with the
-earlier modes' per-frequency deflation folded into the blocks once per
-solve, a scaling to unit norm (the kernel's normalize stage only when a
-column vanishes) and one block product per class back.  Grid fields stay
-real; the feasibility iterate and its Bregman variable are kept as
-spectra, the projected one on the band slots only.  Each iteration takes
-two grid FFTs: a forward one for the Helmholtz right-hand side, and one
-inverse FFT of ``psi_hat + i v_hat`` whose real and imaginary parts are
-the field for the shrink and the projected field for the L1 term.  Since
-that packing hides the imaginary part of the projected field, the
-realness diagnostic ``max_imag`` is an upper bound on it computed from
-the band coefficients' departure from Hermitian symmetry.
+field's spectrum is one block product per class into columns, a scaling
+to unit norm and one back.  Once per solve, the earlier modes' deflation
+is folded into the analysis blocks and each class's analysis rows are
+stacked on its projector (synthesis times analysis): an iteration's one
+product per class gives the column norms, the residual and the unscaled
+projected values.  An iteration with a vanishing column takes the
+separate analyze, normalize, synthesize path, for the kernel's fallbacks.
+Grid fields stay real; the feasibility iterate and its Bregman variable
+are kept as spectra divided by the grid size (so the inverse FFT skips
+its scaling pass), the projected one on the band slots only, in buffers
+allocated once per solve.  Each iteration takes two grid FFTs: a forward
+one for the Helmholtz right-hand side, and one inverse FFT of ``psi_hat +
+i v_hat`` whose real and imaginary parts are the field for the shrink and
+the projected field for the L1 term.  Since that packing hides the
+imaginary part of the projected field, the realness diagnostic
+``max_imag`` is an upper bound on it computed from the band coefficients'
+departure from Hermitian symmetry.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ from .projection import (
     is_shift_orthogonal,
     normalize_columns,
 )
-from .sopw import BandMap, SopwBasis1D, analyze_spectrum, band_map, synthesize_spectrum
+from .sopw import (BandMap, SopwBasis1D, _squared_residual, analyze_spectrum, band_map,
+                   synthesize_spectrum)
 
 # Not called by the loop, but kept importable from this module:
 # perfbench/spans.py rebinds these names here when it traces a solve.
@@ -181,13 +187,16 @@ def helmholtz_solve(rhs: np.ndarray, lam: float, r: float, length: float) -> np.
     return out.real if np.isrealobj(rhs) else out
 
 
-def shrink(w: np.ndarray, threshold: float) -> np.ndarray:
-    """Pointwise soft thresholding: ``w`` moved ``threshold`` towards zero, or zero."""
+def shrink(w: np.ndarray, threshold: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise soft thresholding: ``w`` moved ``threshold`` towards zero, or zero.
+
+    ``out``, if given, receives the result; it may be ``w`` itself.
+    """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     w = np.asarray(w)
     # w - clip(w, -t, t); the two ufuncs cost a third of np.clip's wrapper.
-    return w - np.minimum(np.maximum(w, -threshold), threshold)
+    return np.subtract(w, np.minimum(np.maximum(w, -threshold), threshold), out=out)
 
 
 def cpw_energy(psi: np.ndarray, mu: float, length: float) -> float:
@@ -271,6 +280,36 @@ def _fold_deflation(bands: BandMap, mode_columns: list[np.ndarray]) -> BandMap:
     return replace(bands, analysis=analysis)
 
 
+def _fused_blocks(bands: BandMap):
+    """Per class, the analysis rows (cap last) stacked on the projector ``S_j A_j[:N]``.
+
+    Also a product buffer, each band mode's place in the product and its class.
+    """
+    depth_cap, width = bands.synthesis.shape[2], bands.classes.shape[1]
+    blocks = np.concatenate([bands.analysis, bands.synthesis @ bands.analysis[:, :-1]], axis=1)
+    products = np.empty(blocks.shape[:2] + (1,), dtype=np.complex128)
+    mode_class = bands.order // width
+    order = mode_class * blocks.shape[1] + depth_cap + 1 + bands.order % width
+    return blocks, products, order, mode_class
+
+
+def _fused_project(spectrum: np.ndarray, bands: BandMap, fused, eps: float):
+    """One product per class in place of analyze, unit scaling and synthesize.
+
+    Returns the projected band spectrum, the column norms and the squared
+    analysis residual, or ``None`` when some norm is at most ``eps``.
+    """
+    blocks, products, order, mode_class = fused
+    depth_cap = bands.synthesis.shape[2]
+    np.matmul(blocks, spectrum[bands.classes][:, :, None], out=products)
+    columns, cap = products[:, :depth_cap, 0], products[:, depth_cap, 0]
+    norms = np.sqrt(np.vecdot(columns, columns).real)
+    if norms.min() <= eps:
+        return None
+    band = products.reshape(-1)[order] * (1.0 / norms)[mode_class]
+    return band, norms, _squared_residual(cap, spectrum, bands)
+
+
 def _initial_field(cfg: CpwConfig, basis: SopwBasis1D, grid_size: int) -> np.ndarray:
     period = float(basis.num_shifts)
     x = np.arange(grid_size) * period / grid_size
@@ -314,7 +353,14 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D):
     bands = band_map(basis, grid_size)
     if mode_columns:
         bands = _fold_deflation(bands, mode_columns)
-    band_symbol = symbol[bands.slots]
+    # Spectra are kept divided by grid_size (exactly, on a power-of-two
+    # grid), so the inverse FFT skips its scaling pass; the energy's band
+    # symbol and the imaginary-part bound's divisor take the factor back.
+    bands = replace(bands, analysis=grid_size * bands.analysis,
+                    synthesis=bands.synthesis / grid_size,
+                    outside_weight=bands.outside_weight * grid_size**2)
+    lam_h /= grid_size
+    band_symbol = symbol[bands.slots] * grid_size**2
     band_r_h = r_h[bands.slots]
 
     def project(spectrum):
@@ -322,6 +368,8 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D):
         columns, squared = analyze_spectrum(spectrum, bands)
         columns = _unit_columns(columns, eps, mode_columns)
         return synthesize_spectrum(columns, bands), columns, squared
+
+    fused = _fused_blocks(bands)
 
     # Row i holds iteration i of a block (psi + i v as the inverse FFT wrote
     # it, u, v's band values); row 0 carries the row before, for the dual.
@@ -335,7 +383,7 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D):
         psi, v, u = fields[: last + 1].real, fields[: last + 1].imag, u_rows[: last + 1]
         blocks.append((
             _energy(v[1:], band_rows[1 : last + 1], band_symbol, mu, period),
-            _imag_bound(band_rows[1 : last + 1], grid_size).max(keepdims=True),
+            _imag_bound(band_rows[1 : last + 1], 1).max(keepdims=True),
             _row_norms(psi[1:] - v[1:]) / _row_norms(v[1:]),
             _row_norms(psi[1:] - u[1:]) / _row_norms(psi[1:]),
             math.sqrt(period / grid_size)
@@ -343,15 +391,18 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D):
         ))
         fields[0], u_rows[0] = fields[last], u_rows[last]
 
+    # The step's fixed buffers: u - D in the real part of a complex field,
+    # its spectrum, psi_hat, B_hat (w_hat = psi_hat + B_hat until the
+    # projection is subtracted), D, w = psi + D and psi's step.
+    field, spectrum, psi_hat, B_hat = np.zeros((4, grid_size), dtype=np.complex128)
+    D, w, step = np.zeros((3, grid_size))
+    fft, ifft = np.fft.fft, np.fft.ifft
     # The projected spectrum v_hat is zero off the band slots, so only its
     # band values v_band are kept.
-    v_band, unit, _ = project(np.fft.fft(_initial_field(cfg, basis, grid_size)))
-    v_hat = np.zeros(grid_size, dtype=np.complex128)
-    v_hat[bands.slots] = v_band
-    psi = u = np.fft.ifft(v_hat).real
+    v_band, unit, _ = project(fft(_initial_field(cfg, basis, grid_size), norm="forward"))
+    psi_hat[bands.slots] = v_band
+    psi = u = ifft(psi_hat, norm="forward").real
     fields[0], u_rows[0] = psi + 1j * psi, psi
-    D = np.zeros(grid_size)
-    B_hat = np.zeros(grid_size, dtype=np.complex128)
     rel_change_history = []
     converged = False
     max_squared = 0.0
@@ -360,33 +411,40 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D):
         if row == 1 and iteration > 1:
             reduce_block(_BLOCK)
         previous_psi = psi
-        psi_hat = lam_h * np.fft.fft(u - D) - r_h * B_hat
+        np.subtract(u, D, out=field.real)
+        fft(field, out=spectrum)
+        np.multiply(lam_h, spectrum, out=psi_hat)
+        psi_hat -= np.multiply(r_h, B_hat, out=spectrum)
         psi_hat[bands.slots] += band_r_h * v_band
 
-        w_hat = psi_hat + B_hat
-        v_band, unit, squared = project(w_hat)
+        B_hat += psi_hat
+        projected = _fused_project(B_hat, bands, fused, eps)
+        if projected is None:
+            v_band, unit, squared = project(B_hat)
+        else:
+            (v_band, norms, squared), unit = projected, None
         max_squared = max(max_squared, squared)
         band_rows[row] = v_band
-        B_hat = w_hat
         B_hat[bands.slots] -= v_band
 
         # psi and v are real, so one inverse FFT of psi_hat + i v_hat
         # carries psi in its real part and v in its imaginary part.
         psi_hat[bands.slots] += 1j * v_band
-        psi = np.fft.ifft(psi_hat, out=fields[row]).real
+        psi = ifft(psi_hat, norm="forward", out=fields[row]).real
 
-        w = psi + D
-        u = shrink(w, threshold)
-        u_rows[row] = u
-        D = w - u
+        np.add(psi, D, out=w)
+        u = shrink(w, threshold, out=u_rows[row])
+        np.subtract(w, u, out=D)
 
-        step = psi - previous_psi
+        np.subtract(psi, previous_psi, out=step)
         denominator = max(math.sqrt(psi @ psi), _TINY)
         rel_change = math.sqrt(step @ step) / denominator
         rel_change_history.append(rel_change)
         if rel_change <= cfg.tol:
             converged = True
             break
+    if unit is None:  # the last product's columns, scaled as _unit_columns scales them
+        unit = fused[1][:, : basis.depth_cap, 0].T * (1.0 / norms)
     v = fields[row].imag.copy()
     reduce_block(row)
     energy, imag, primal_v, primal_u, dual = map(np.concatenate, zip(*blocks))

@@ -190,11 +190,14 @@ def analyze_spectrum(source: np.ndarray, bands: BandMap):
     shell above the cap (which shares the topmost edge modes) and off band.
     """
     full = (bands.analysis @ source[bands.classes][:, :, None])[:, :, 0]
+    return full[:, :-1].T, _squared_residual(full[:, -1], source, bands)
+
+
+def _squared_residual(cap: np.ndarray, source: np.ndarray, bands: BandMap) -> float:
+    """:func:`analyze_spectrum`'s squared residual from its cap entries, one per shift."""
     outside = source[bands.outside]
-    # The cap entries, full[:, -1], hold one column per shift.
-    squared = (np.vdot(full[:, -1], full[:, -1]).real / full.shape[0]
-               + bands.outside_weight * np.vdot(outside, outside).real)
-    return full[:, :-1].T, squared
+    return (np.vdot(cap, cap).real / cap.size
+            + bands.outside_weight * np.vdot(outside, outside).real)
 
 
 def synthesize_spectrum(columns: np.ndarray, bands: BandMap) -> np.ndarray:

@@ -849,6 +849,19 @@ class TestSopwCommand:
         assert code == 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_table_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(coeffio, "format_rows", no_memory)
+        code, status, captured = run_cli(
+            capsys, "sopw", "--L", "8", "--N", "4", "--table", str(tmp_path / "t.csv")
+        )
+        assert code == 2
+        assert status is None
+        assert captured.err == "error: out of memory\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_flat_svg_panel(self):
         # A constant series gets a unit band around its value, not a zero-height axis.
         svg = cli._svg_panels([{"x": [0.0, 1.0, 2.0], "y": [1.0, 1.0, 1.0], "title": "flat"}])
@@ -925,6 +938,30 @@ class TestCpwCommand:
         writer.writerow(["total", sum(r["iterations"] for r in status["modes"]),
                          f"{sum(r['seconds'] for r in status['modes']):.6f}"])
         assert (outdir / "timings.csv").read_bytes() == expected.getvalue().encode("ascii")
+
+    # The first CSV written is mode 1's samples, the last the timings.
+    @pytest.mark.parametrize("failing, kept", [
+        ("mode1_samples.csv", []),
+        ("timings.csv", ["mode1_coeffs.csv", "mode1_samples.csv", "modes.svg"]),
+    ])
+    def test_failed_csv_write_leaves_no_file(self, tmp_path, capsys, monkeypatch, failing, kept):
+        format_rows = cli.format_rows
+
+        def failing_for_one_file(template, table):
+            if template.startswith("%s") == (failing == "timings.csv"):
+                raise MemoryError
+            return format_rows(template, table)
+
+        monkeypatch.setattr(cli, "format_rows", failing_for_one_file)
+        outdir = tmp_path / "run"
+        code, status, captured = run_cli(
+            capsys, "cpw", "--modes", "1", "--grid", "512", "--max-iter", "5",
+            "--outdir", str(outdir),
+        )
+        assert code == 2
+        assert status is None
+        assert captured.err == "error: out of memory\n"
+        assert sorted(path.name for path in outdir.iterdir()) == kept
 
     def test_non_convergence_exit_3(self, tmp_path, capsys):
         outdir = tmp_path / "run"

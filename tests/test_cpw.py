@@ -27,9 +27,16 @@ from shiftortho import (
     solve_cpw_modes,
     support_fraction,
 )
-from shiftortho.cpw import _energy, _imag_bound, _kinetic_symbol, _unit_columns
+from shiftortho.cpw import (
+    _energy,
+    _fused_blocks,
+    _fused_project,
+    _imag_bound,
+    _kinetic_symbol,
+    _unit_columns,
+)
 from shiftortho.projection import DEFAULT_CONFIG, normalize_columns
-from shiftortho.sopw import analyze_spectrum, band_map
+from shiftortho.sopw import analyze_spectrum, band_map, synthesize_spectrum
 from util import gram_shift, grid_bregman_reference, theta_energy
 
 
@@ -102,6 +109,19 @@ class TestShrink:
     def test_negative_threshold(self):
         with pytest.raises(ValueError):
             shrink(np.zeros(4), -0.1)
+        with pytest.raises(ValueError):
+            shrink(np.zeros(4), -0.1, out=np.empty(4))
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.37])
+    def test_out_buffer_bitwise_equal(self, threshold):
+        w = np.random.default_rng(2).uniform(-1, 1, 64)
+        expected = shrink(w, threshold)
+        buffer = np.full(64, np.nan)
+        assert shrink(w, threshold, out=buffer) is buffer
+        assert np.array_equal(buffer, expected)
+        # In place: the result overwrites w itself.
+        assert shrink(w, threshold, out=w) is w
+        assert np.array_equal(w, expected)
 
 
 class TestEnergy:
@@ -237,7 +257,7 @@ class TestLoopBudget:
             original = getattr(np.fft, name)
 
             def counted(*args, _original=original, _name=name, **kwargs):
-                calls.append(_name)
+                calls.append((_name, kwargs.get("out") is not None))
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
@@ -247,6 +267,11 @@ class TestLoopBudget:
         _, diag = solve_cpw_mode(prev, cfg, basis)
         assert diag.iterations == iterations
         assert len(calls) == 2 * iterations + self.SETUP_FFTS
+        # Every call inside the loop (between the two setup calls and the
+        # two of the tail) writes into a buffer allocated once per solve.
+        loop = calls[2:-2]
+        assert [name for name, _ in loop] == ["fft", "ifft"] * iterations
+        assert all(has_out for _, has_out in loop)
 
     @pytest.mark.parametrize("prior_modes", [0, 1])
     def test_healthy_solve_skips_the_kernel_normalize(self, monkeypatch, prior_modes):
@@ -412,6 +437,36 @@ class TestDeflationFold:
             assert np.abs(result - expected).max() <= 1e-15 * np.abs(expected).max()
             assert folded_squared == squared
 
+    @pytest.mark.parametrize("prior_modes", [0, 1, 2, 3])
+    def test_fused_block_equals_analyze_normalize_synthesize(self, modes, prior_modes):
+        mode_columns = modes.span.columns[:prior_modes]
+        bands = band_map(self.basis, self.grid_size)
+        if mode_columns:
+            bands = cpw._fold_deflation(bands, mode_columns)
+        fused = _fused_blocks(bands)
+        eps = DEFAULT_CONFIG.resolve_eps(self.basis.depth_cap)
+        rng = np.random.default_rng(10 + prior_modes)
+        for _ in range(5):
+            source = rng.standard_normal(self.grid_size) + 1j * rng.standard_normal(self.grid_size)
+            columns, squared = analyze_spectrum(source, bands)
+            unit = _unit_columns(columns, eps, mode_columns)
+            expected = synthesize_spectrum(unit, bands)
+            band, norms, fused_squared = _fused_project(source, bands, fused, eps)
+            assert np.abs(band - expected).max() <= 1e-15 * np.abs(expected).max()
+            assert fused_squared == squared
+            # The unit columns, as the solver forms them after its loop.
+            result = fused[1][:, : self.basis.depth_cap, 0].T * (1.0 / norms)
+            assert np.array_equal(result, unit)
+
+    def test_fused_block_defers_vanishing_columns(self, modes):
+        bands = band_map(self.basis, self.grid_size)
+        fused = _fused_blocks(bands)
+        # The spectrum of the first mode's samples: its columns are unit,
+        # so an eps just above 1 makes every one of them vanish.
+        source = np.fft.fft(modes.modes[0].samples)
+        assert _fused_project(source, bands, fused, 0.999) is not None
+        assert _fused_project(source, bands, fused, 1.001) is None
+
     def test_start_in_prior_span_takes_kernel_fallback(self, modes, monkeypatch):
         prior = CpwModeSet(self.basis)
         prior.add(modes.modes[0])
@@ -435,10 +490,7 @@ class TestAgainstGridReference:
     @staticmethod
     def run_both(prior_modes, max_iter):
         basis = SopwBasis1D(8, 4)
-        prev = CpwModeSet(basis)
-        if prior_modes:
-            first, _ = solve_cpw_mode(None, CpwConfig(grid_size=128), basis)
-            prev.add(first)
+        prev, _ = solve_cpw_modes(prior_modes, CpwConfig(grid_size=128), basis)
         cfg = CpwConfig(grid_size=128, tol=1e-30, max_iter=max_iter)
         mode, diag = solve_cpw_mode(prev, cfg, basis)
         coeffs, samples, energies, residuals = grid_bregman_reference(prev, cfg, basis)
@@ -448,7 +500,7 @@ class TestAgainstGridReference:
         assert np.all(np.abs(diag.energy_history - energies) <= 1e-12 * np.abs(energies))
         return diag, residuals
 
-    @pytest.mark.parametrize("prior_modes", [0, 1])
+    @pytest.mark.parametrize("prior_modes", [0, 1, 2])
     def test_fifty_iterations(self, prior_modes):
         self.run_both(prior_modes, 50)
 
