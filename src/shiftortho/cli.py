@@ -142,7 +142,7 @@ def _svg_panels(panels):
 
 
 def write_svg(path, panels) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with output_file(path, encoding="utf-8") as handle:
         handle.write(_svg_panels(panels))
 
 

@@ -17,10 +17,12 @@ stacked on its projector (synthesis times analysis): an iteration's one
 product per class gives the column norms, the residual and the unscaled
 projected values.  An iteration with a vanishing column takes the
 separate analyze, normalize, synthesize path, for the kernel's fallbacks.
-Grid fields stay real; the feasibility iterate and its Bregman variable
-are kept as spectra divided by the grid size (so the inverse FFT skips
-its scaling pass), the projected one on the band slots only, in buffers
-allocated once per solve.  Each iteration takes two grid FFTs: a forward
+Grid fields stay real; the feasibility iterate, its Bregman variable and
+the projected field are kept as full-length spectra divided by the grid
+size (so the inverse FFT skips its scaling pass), in buffers allocated
+once per solve.  The projected spectrum is written on the band slots
+only and stays zero off them, so the updates by it are full-length
+in-place ufuncs.  Each iteration takes two grid FFTs: a forward
 one for the Helmholtz right-hand side, and one inverse FFT of ``psi_hat +
 i v_hat`` whose real and imaginary parts are the field for the shrink and
 the projected field for the L1 term.  Since that packing hides the
@@ -196,7 +198,9 @@ def shrink(w: np.ndarray, threshold: float, out: np.ndarray | None = None) -> np
         raise ValueError("threshold must be nonnegative")
     w = np.asarray(w)
     # w - clip(w, -t, t); the two ufuncs cost a third of np.clip's wrapper.
-    return np.subtract(w, np.minimum(np.maximum(w, -threshold), threshold), out=out)
+    # Clipping in one fresh temporary needs no overlap test against out.
+    clipped = np.maximum(w, -threshold)
+    return np.subtract(w, np.minimum(clipped, threshold, out=clipped), out=out)
 
 
 def cpw_energy(psi: np.ndarray, mu: float, length: float) -> float:
@@ -283,30 +287,32 @@ def _fold_deflation(bands: BandMap, mode_columns: list[np.ndarray]) -> BandMap:
 def _fused_blocks(bands: BandMap):
     """Per class, the analysis rows (cap last) stacked on the projector ``S_j A_j[:N]``.
 
-    Also a product buffer, each band mode's place in the product and its class.
+    Also a product buffer and its column, cap and flat views, the class
+    gather index, each band mode's place in the flat product and its class.
     """
     depth_cap, width = bands.synthesis.shape[2], bands.classes.shape[1]
     blocks = np.concatenate([bands.analysis, bands.synthesis @ bands.analysis[:, :-1]], axis=1)
     products = np.empty(blocks.shape[:2] + (1,), dtype=np.complex128)
     mode_class = bands.order // width
     order = mode_class * blocks.shape[1] + depth_cap + 1 + bands.order % width
-    return blocks, products, order, mode_class
+    return (blocks, products, products[:, :depth_cap, 0], products[:, depth_cap, 0],
+            products.reshape(-1), bands.classes[:, :, None], order, mode_class)
 
 
-def _fused_project(spectrum: np.ndarray, bands: BandMap, fused, eps: float):
+def _fused_project(spectrum: np.ndarray, bands: BandMap, fused, eps: float, out=None):
     """One product per class in place of analyze, unit scaling and synthesize.
 
-    Returns the projected band spectrum, the column norms and the squared
-    analysis residual, or ``None`` when some norm is at most ``eps``.
+    Returns the projected band spectrum (written to ``out`` if given), the
+    column norms and the squared analysis residual, or ``None`` when some
+    norm is at most ``eps``.
     """
-    blocks, products, order, mode_class = fused
-    depth_cap = bands.synthesis.shape[2]
-    np.matmul(blocks, spectrum[bands.classes][:, :, None], out=products)
-    columns, cap = products[:, :depth_cap, 0], products[:, depth_cap, 0]
+    blocks, products, columns, cap, flat, gather, order, mode_class = fused
+    np.matmul(blocks, spectrum[gather], out=products)
     norms = np.sqrt(np.vecdot(columns, columns).real)
-    if norms.min() <= eps:
+    # The ufunc reduction skips ndarray.min's Python wrapper.
+    if np.minimum.reduce(norms) <= eps:
         return None
-    band = products.reshape(-1)[order] * (1.0 / norms)[mode_class]
+    band = np.multiply(flat[order], (1.0 / norms)[mode_class], out=out)
     return band, norms, _squared_residual(cap, spectrum, bands)
 
 
@@ -361,7 +367,6 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D):
                     outside_weight=bands.outside_weight * grid_size**2)
     lam_h /= grid_size
     band_symbol = symbol[bands.slots] * grid_size**2
-    band_r_h = r_h[bands.slots]
 
     def project(spectrum):
         """Projected field's band spectrum, its unit columns, squared analysis residual."""
@@ -392,15 +397,17 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D):
         fields[0], u_rows[0] = fields[last], u_rows[last]
 
     # The step's fixed buffers: u - D in the real part of a complex field,
-    # its spectrum, psi_hat, B_hat (w_hat = psi_hat + B_hat until the
-    # projection is subtracted), D, w = psi + D and psi's step.
-    field, spectrum, psi_hat, B_hat = np.zeros((4, grid_size), dtype=np.complex128)
+    # its spectrum (also the scratch for products of full-length spectra),
+    # psi_hat, B_hat (w_hat = psi_hat + B_hat until the projection is
+    # subtracted), the projected spectrum v_hat, D, w = psi + D and psi's
+    # step.  v_hat is written on the band slots only and stays zero off
+    # them, so full-length updates by v_hat add exact zeros there.
+    field, spectrum, psi_hat, B_hat, v_hat = np.zeros((5, grid_size), dtype=np.complex128)
     D, w, step = np.zeros((3, grid_size))
+    field_real = field.real
     fft, ifft = np.fft.fft, np.fft.ifft
-    # The projected spectrum v_hat is zero off the band slots, so only its
-    # band values v_band are kept.
     v_band, unit, _ = project(fft(_initial_field(cfg, basis, grid_size), norm="forward"))
-    psi_hat[bands.slots] = v_band
+    v_hat[bands.slots] = psi_hat[bands.slots] = v_band
     psi = u = ifft(psi_hat, norm="forward").real
     fields[0], u_rows[0] = psi + 1j * psi, psi
     rel_change_history = []
@@ -411,25 +418,25 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D):
         if row == 1 and iteration > 1:
             reduce_block(_BLOCK)
         previous_psi = psi
-        np.subtract(u, D, out=field.real)
+        np.subtract(u, D, out=field_real)
         fft(field, out=spectrum)
         np.multiply(lam_h, spectrum, out=psi_hat)
         psi_hat -= np.multiply(r_h, B_hat, out=spectrum)
-        psi_hat[bands.slots] += band_r_h * v_band
+        psi_hat += np.multiply(r_h, v_hat, out=spectrum)
 
         B_hat += psi_hat
-        projected = _fused_project(B_hat, bands, fused, eps)
+        projected = _fused_project(B_hat, bands, fused, eps, out=band_rows[row])
         if projected is None:
-            v_band, unit, squared = project(B_hat)
+            band_rows[row], unit, squared = project(B_hat)
         else:
-            (v_band, norms, squared), unit = projected, None
+            (_, norms, squared), unit = projected, None
         max_squared = max(max_squared, squared)
-        band_rows[row] = v_band
-        B_hat[bands.slots] -= v_band
+        v_hat[bands.slots] = band_rows[row]
+        B_hat -= v_hat
 
         # psi and v are real, so one inverse FFT of psi_hat + i v_hat
         # carries psi in its real part and v in its imaginary part.
-        psi_hat[bands.slots] += 1j * v_band
+        psi_hat += np.multiply(1j, v_hat, out=spectrum)
         psi = ifft(psi_hat, norm="forward", out=fields[row]).real
 
         np.add(psi, D, out=w)
@@ -444,7 +451,7 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D):
             converged = True
             break
     if unit is None:  # the last product's columns, scaled as _unit_columns scales them
-        unit = fused[1][:, : basis.depth_cap, 0].T * (1.0 / norms)
+        unit = fused[2].T * (1.0 / norms)
     v = fields[row].imag.copy()
     reduce_block(row)
     energy, imag, primal_v, primal_u, dual = map(np.concatenate, zip(*blocks))

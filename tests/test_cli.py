@@ -862,6 +862,19 @@ class TestSopwCommand:
         assert captured.err == "error: out of memory\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_plot_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_svg_panels", no_memory)
+        code, status, captured = run_cli(
+            capsys, "sopw", "--L", "8", "--N", "6", "--plot", str(tmp_path / "fig.svg")
+        )
+        assert code == 2
+        assert status is None
+        assert captured.err == "error: out of memory\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_flat_svg_panel(self):
         # A constant series gets a unit band around its value, not a zero-height axis.
         svg = cli._svg_panels([{"x": [0.0, 1.0, 2.0], "y": [1.0, 1.0, 1.0], "title": "flat"}])
@@ -962,6 +975,22 @@ class TestCpwCommand:
         assert status is None
         assert captured.err == "error: out of memory\n"
         assert sorted(path.name for path in outdir.iterdir()) == kept
+
+    def test_failed_plot_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_svg_panels", no_memory)
+        outdir = tmp_path / "run"
+        code, status, captured = run_cli(
+            capsys, "cpw", "--modes", "1", "--grid", "512", "--max-iter", "5",
+            "--outdir", str(outdir),
+        )
+        assert code == 2
+        assert status is None
+        assert captured.err == "error: out of memory\n"
+        assert sorted(path.name for path in outdir.iterdir()) == [
+            "mode1_coeffs.csv", "mode1_samples.csv"]
 
     def test_non_convergence_exit_3(self, tmp_path, capsys):
         outdir = tmp_path / "run"

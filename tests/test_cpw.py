@@ -53,6 +53,14 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def assert_band_limited(samples, basis):
+    """The samples' grid FFT vanishes, to rounding, off the band slots."""
+    spectrum = np.abs(np.fft.fft(samples))
+    off_band = np.ones(samples.shape[0], dtype=bool)
+    off_band[band_map(basis, samples.shape[0]).slots] = False
+    assert spectrum[off_band].max() <= 1e-12 * spectrum.max()
+
+
 class TestHelmholtz:
     def test_constant_field(self):
         rhs = np.full(32, 2.5)
@@ -122,6 +130,14 @@ class TestShrink:
         # In place: the result overwrites w itself.
         assert shrink(w, threshold, out=w) is w
         assert np.array_equal(w, expected)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.37])
+    def test_partially_overlapping_out(self, threshold):
+        buffer = np.random.default_rng(3).uniform(-1, 1, 65)
+        w, out = buffer[:-1], buffer[1:]
+        expected = shrink(w.copy(), threshold)
+        assert shrink(w, threshold, out=out) is out
+        assert np.array_equal(out, expected)
 
 
 class TestEnergy:
@@ -285,6 +301,14 @@ class TestLoopBudget:
         _, diag = solve_cpw_mode(prev, cfg, basis)
         assert diag.iterations == 11
         assert calls == []
+
+    # The projected spectrum is kept on the full grid, zero off the band.
+    @pytest.mark.parametrize("prior_modes", [0, 2])
+    def test_samples_are_band_limited(self, prior_modes):
+        basis = SopwBasis1D(8, 4)
+        prev, _ = solve_cpw_modes(prior_modes, CpwConfig(grid_size=128), basis)
+        mode, _ = solve_cpw_mode(prev, CpwConfig(grid_size=128, max_iter=200), basis)
+        assert_band_limited(mode.samples, basis)
 
     # Diagnostics are reduced in blocks of 64 iterations: stops before,
     # on and after a block edge.
@@ -479,6 +503,7 @@ class TestDeflationFold:
                                     self.basis)
         assert calls
         assert diag.final_violation <= 1e-12
+        assert_band_limited(mode.samples, self.basis)
         report = check_shift_perpendicular(mode.coeffs, prior.modes[0].coeffs, 1e-12)
         assert report.is_perpendicular
         prior.add(mode)
