@@ -323,12 +323,6 @@ def _split_lines(raw: bytes) -> list[str]:
     return lines
 
 
-def _read_lines(path) -> list[str]:
-    """Lines of an ASCII text file; a non-ASCII byte is an error on its line."""
-    with open(path, "rb") as handle:
-        return _split_lines(handle.read())
-
-
 def _header_object(line: str, keys: tuple[str, ...]) -> dict:
     """Parse the JSON header line into an object holding every key in ``keys``."""
     try:

@@ -13,10 +13,11 @@ coefficients grouped by residue class mod the shift count, so projecting a
 field's spectrum is one block product per class into columns, a scaling
 to unit norm and one back.  Once per solve, the earlier modes' deflation
 is folded into the analysis blocks and each class's analysis rows are
-stacked on its projector (synthesis times analysis): an iteration's one
-product per class gives the column norms, the residual and the unscaled
-projected values.  An iteration with a vanishing column takes the
-separate analyze, normalize, synthesize path, for the kernel's fallbacks.
+stacked on its projector (synthesis times analysis): one product per
+class gives the column norms, the residual and the unscaled projected
+values.  The start and every iteration take this one route; when a column
+vanishes, the product's columns go through the kernel's normalize, for
+its fallbacks, and are synthesized from there.
 Grid fields stay real; the feasibility iterate, its Bregman variable and
 the projected field are kept as full-length spectra divided by the grid
 size (so the inverse FFT skips its scaling pass), in buffers allocated
@@ -47,8 +48,7 @@ from .projection import (
     is_shift_orthogonal,
     normalize_columns,
 )
-from .sopw import (BandMap, SopwBasis1D, _squared_residual, analyze_spectrum, band_map,
-                   synthesize_spectrum)
+from .sopw import BandMap, SopwBasis1D, _squared_residual, band_map, synthesize_spectrum
 
 # Not called by the loop, but kept importable from this module:
 # perfbench/spans.py rebinds these names here when it traces a solve.
@@ -257,22 +257,6 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 
-def _unit_columns(columns: np.ndarray, eps: float,
-                  mode_columns: list[np.ndarray]) -> np.ndarray:
-    """The solver's columns, any strided view, scaled to unit norm in place.
-
-    When some norm is at most ``eps``, a contiguous copy goes through
-    :func:`normalize_columns` instead, for the kernel's fallbacks.
-    """
-    norms = np.sqrt(np.vecdot(columns, columns, axis=0).real)
-    if norms.min() > eps:
-        columns *= 1.0 / norms
-        return columns
-    columns = np.ascontiguousarray(columns)
-    normalize_columns(columns, mode_columns=mode_columns)
-    return columns
-
-
 def _fold_deflation(bands: BandMap, mode_columns: list[np.ndarray]) -> BandMap:
     """``bands`` with the analysis rows of shells 1..depth_cap deflated by ``I - Q_j Q_j^H``.
 
@@ -299,21 +283,28 @@ def _fused_blocks(bands: BandMap):
             products.reshape(-1), bands.classes[:, :, None], order, mode_class)
 
 
-def _fused_project(spectrum: np.ndarray, bands: BandMap, fused, eps: float, out=None):
-    """One product per class in place of analyze, unit scaling and synthesize.
+def _fused_project(spectrum: np.ndarray, bands: BandMap, fused, eps: float,
+                   mode_columns: list[np.ndarray], out: np.ndarray):
+    """The projected band spectrum into ``out``, from one product per class.
 
-    Returns the projected band spectrum (written to ``out`` if given), the
-    column norms and the squared analysis residual, or ``None`` when some
-    norm is at most ``eps``.
+    Returns the column norms and the squared analysis residual.  When some
+    norm is at most ``eps``, a contiguous copy of the columns goes through
+    :func:`normalize_columns` instead, for the kernel's fallbacks; the unit
+    columns are written back into the product and the norms returned are one.
     """
     blocks, products, columns, cap, flat, gather, order, mode_class = fused
     np.matmul(blocks, spectrum[gather], out=products)
     norms = np.sqrt(np.vecdot(columns, columns).real)
     # The ufunc reduction skips ndarray.min's Python wrapper.
     if np.minimum.reduce(norms) <= eps:
-        return None
-    band = np.multiply(flat[order], (1.0 / norms)[mode_class], out=out)
-    return band, norms, _squared_residual(cap, spectrum, bands)
+        unit = columns.T.copy()
+        normalize_columns(unit, mode_columns=mode_columns)
+        columns[...] = unit.T
+        out[...] = synthesize_spectrum(unit, bands)
+        norms = np.ones_like(norms)
+    else:
+        np.multiply(flat[order], (1.0 / norms)[mode_class], out=out)
+    return norms, _squared_residual(cap, spectrum, bands)
 
 
 def _initial_field(cfg: CpwConfig, basis: SopwBasis1D, grid_size: int) -> np.ndarray:
@@ -368,12 +359,6 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D):
     lam_h /= grid_size
     band_symbol = symbol[bands.slots] * grid_size**2
 
-    def project(spectrum):
-        """Projected field's band spectrum, its unit columns, squared analysis residual."""
-        columns, squared = analyze_spectrum(spectrum, bands)
-        columns = _unit_columns(columns, eps, mode_columns)
-        return synthesize_spectrum(columns, bands), columns, squared
-
     fused = _fused_blocks(bands)
 
     # Row i holds iteration i of a block (psi + i v as the inverse FFT wrote
@@ -406,8 +391,10 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D):
     D, w, step = np.zeros((3, grid_size))
     field_real = field.real
     fft, ifft = np.fft.fft, np.fft.ifft
-    v_band, unit, _ = project(fft(_initial_field(cfg, basis, grid_size), norm="forward"))
-    v_hat[bands.slots] = psi_hat[bands.slots] = v_band
+    # Row 0 of band_rows is never reduced, so the start's projection goes there.
+    _fused_project(fft(_initial_field(cfg, basis, grid_size), norm="forward"), bands, fused,
+                   eps, mode_columns, band_rows[0])
+    v_hat[bands.slots] = psi_hat[bands.slots] = band_rows[0]
     psi = u = ifft(psi_hat, norm="forward").real
     fields[0], u_rows[0] = psi + 1j * psi, psi
     rel_change_history = []
@@ -425,11 +412,7 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D):
         psi_hat += np.multiply(r_h, v_hat, out=spectrum)
 
         B_hat += psi_hat
-        projected = _fused_project(B_hat, bands, fused, eps, out=band_rows[row])
-        if projected is None:
-            band_rows[row], unit, squared = project(B_hat)
-        else:
-            (_, norms, squared), unit = projected, None
+        norms, squared = _fused_project(B_hat, bands, fused, eps, mode_columns, band_rows[row])
         max_squared = max(max_squared, squared)
         v_hat[bands.slots] = band_rows[row]
         B_hat -= v_hat
@@ -450,8 +433,7 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D):
         if rel_change <= cfg.tol:
             converged = True
             break
-    if unit is None:  # the last product's columns, scaled as _unit_columns scales them
-        unit = fused[2].T * (1.0 / norms)
+    unit = fused[2].T * (1.0 / norms)  # the last projection's unit columns
     v = fields[row].imag.copy()
     reduce_block(row)
     energy, imag, primal_v, primal_u, dual = map(np.concatenate, zip(*blocks))

@@ -9,8 +9,9 @@ map of the band modes ``n = -j mod L`` alone.  Band coefficients are
 plain arrays over the modes ``-band_limit..band_limit``.  This module
 builds the coefficient tables and the band maps, which hold one analysis
 and one synthesis block per residue class, analyzes and synthesizes
-spectra with one batched block product each over a band map (shared by
-the grid transforms and the CPW solver), evaluates the closed
+spectra with one batched block product each over a band map (the grid
+transforms' route; the CPW solver stacks the same blocks into one fused
+product per class), evaluates the closed
 pointwise forms, expands first/second derivatives over neighbouring
 shells, and runs the numerical primal-dual certificate showing the
 depth-1 generator minimizes kinetic energy among shift-orthogonal
@@ -81,14 +82,20 @@ def _sign_i_pow(n: int, p: int) -> complex:
     return w if n >= 0 else w.conjugate()
 
 
-def _check_element(k: int, j: int, basis: SopwBasis1D, top: float = math.inf) -> None:
-    """Reject a depth outside ``1..top`` or a shift outside ``0..L-1``."""
+def _check_element(k: int, j: int, basis: SopwBasis1D,
+                   top: float = math.inf) -> tuple[int, int]:
+    """Reject a non-integer, a depth outside ``1..top`` or a shift outside ``0..L-1``.
+
+    Returns ``(k, j)`` as ints.
+    """
+    k, j = _integer(k, "depth"), _integer(j, "shift")
     if k < 1:
         raise ValueError(f"depth {k} below 1")
     if k > top:
         raise ValueError(f"depth {k} above {top}")
     if not 0 <= j < basis.num_shifts:
         raise ValueError(f"shift {j} outside 0..{basis.num_shifts - 1}")
+    return k, j
 
 
 def sopw_fourier_coeffs(k: int, j: int, basis: SopwBasis1D):
@@ -100,7 +107,7 @@ def sopw_fourier_coeffs(k: int, j: int, basis: SopwBasis1D):
     ``1/sqrt(2L)``.  Depths up to ``depth_cap + 1`` are available so the
     shell just above the cap can be tabulated.
     """
-    _check_element(k, j, basis, basis.depth_cap + 1)
+    k, j = _check_element(k, j, basis, basis.depth_cap + 1)
     num_shifts = basis.num_shifts
     half = num_shifts // 2
     interior_weight = 1.0 / math.sqrt(num_shifts)
@@ -212,7 +219,7 @@ def eval_closed_form(k: int, j: int, x: float, basis: SopwBasis1D) -> float:
     the kernel ratio at lattice points is replaced by its limit.  ``x``
     outside one period is reduced by periodicity.
     """
-    _check_element(k, j, basis)
+    k, j = _check_element(k, j, basis)
     num_shifts = basis.num_shifts
     s = (float(x) - j) % num_shifts
     if s >= num_shifts / 2:
@@ -296,7 +303,7 @@ class DerivativeStencil:
 
 def first_derivative_stencil(k: int, ell: int, basis: SopwBasis1D) -> DerivativeStencil:
     """Expansion coefficients of the first derivative of element (k, ell)."""
-    _check_element(k, ell, basis)
+    k, ell = _check_element(k, ell, basis)
     num_shifts = basis.num_shifts
     offsets = (np.arange(num_shifts) - ell) % num_shifts
     prefactor = math.pi / num_shifts
@@ -313,7 +320,7 @@ def first_derivative_stencil(k: int, ell: int, basis: SopwBasis1D) -> Derivative
 
 def second_derivative_stencil(k: int, ell: int, basis: SopwBasis1D) -> DerivativeStencil:
     """Expansion coefficients of the second derivative of element (k, ell)."""
-    _check_element(k, ell, basis)
+    k, ell = _check_element(k, ell, basis)
     num_shifts = basis.num_shifts
     offsets = (np.arange(num_shifts) - ell) % num_shifts
     b_values = np.empty(num_shifts)
@@ -335,7 +342,7 @@ def shell_moment_sums(k: int, j: int, basis: SopwBasis1D):
     Returns ``(S1, S2)`` with ``S1 = sum n w^n`` and ``S2 = sum n^2 w^n``
     over ``(k-1)L/2 < |n| < kL/2``, ``w`` the ``j``-th root of unity.
     """
-    _check_element(k, j, basis)
+    k, j = _check_element(k, j, basis)
     num_shifts = basis.num_shifts
     length = float(num_shifts)
     if j == 0:
@@ -401,6 +408,7 @@ def verify_variational_certificate(basis: SopwBasis1D,
     ``tail_periods`` controls how many periods of the frequency axis the
     dual-slack nonnegativity is checked on (at least 2).
     """
+    tail_periods = _integer(tail_periods, "tail_periods")
     if tail_periods < 2:
         raise ValueError("tail_periods must be >= 2")
     num_shifts = basis.num_shifts

@@ -21,21 +21,15 @@ from shiftortho import (
     helmholtz_solve,
     is_shift_orthogonal,
     project_sso,
+    project_sso_orth,
     random_tensor,
     shrink,
     solve_cpw_mode,
     solve_cpw_modes,
     support_fraction,
 )
-from shiftortho.cpw import (
-    _energy,
-    _fused_blocks,
-    _fused_project,
-    _imag_bound,
-    _kinetic_symbol,
-    _unit_columns,
-)
-from shiftortho.projection import DEFAULT_CONFIG, normalize_columns
+from shiftortho.cpw import _energy, _fused_blocks, _fused_project, _imag_bound, _kinetic_symbol
+from shiftortho.projection import DEFAULT_CONFIG, ProjectionConfig, normalize_columns
 from shiftortho.sopw import analyze_spectrum, band_map, synthesize_spectrum
 from util import gram_shift, grid_bregman_reference, theta_energy
 
@@ -51,6 +45,26 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def normalize_oracle(source, bands, mode_columns):
+    """Analyze, the kernel's normalize on a contiguous copy, synthesize.
+
+    Returns the projected band spectrum, the unit columns and the squared
+    analysis residual.
+    """
+    columns, squared = analyze_spectrum(source, bands)
+    unit = np.ascontiguousarray(columns)
+    normalize_columns(unit, mode_columns=mode_columns)
+    return synthesize_spectrum(unit, bands), unit, squared
+
+
+def fused_project(source, bands, mode_columns, eps):
+    """:func:`_fused_project` on fresh blocks: band spectrum, norms, residual, blocks."""
+    fused = _fused_blocks(bands)
+    band = np.empty(bands.slots.size, dtype=np.complex128)
+    norms, squared = _fused_project(source, bands, fused, eps, mode_columns, band)
+    return band, norms, squared, fused
 
 
 def assert_band_limited(samples, basis):
@@ -381,56 +395,66 @@ class TestLoopBudget:
 
 
 class TestUnitColumns:
-    """The solver's normalize against the kernel stage it stands in for."""
+    """The fused projection's unit columns against the kernel stage it stands in for."""
 
-    depth_count, shift_count = 8, 16
-    eps = DEFAULT_CONFIG.resolve_eps(depth_count)
-
-    def columns(self, seed, scales):
-        # A strided view, as the deflated step hands it over, with the
-        # given columns scaled to the given multiples of eps.
-        rng = np.random.default_rng(seed)
-        shape = (self.shift_count, self.depth_count)
-        columns = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).T
-        for j, norm in scales.items():
-            columns[:, j] *= norm * self.eps / np.linalg.norm(columns[:, j])
-        return columns
+    basis = SopwBasis1D(16, 8)
+    grid_size = 256
+    eps = DEFAULT_CONFIG.resolve_eps(basis.depth_cap)
 
     def mode_columns(self, prior_modes):
         rng = np.random.default_rng(11)
-        shape = (self.depth_count, self.shift_count)
+        shape = (self.basis.depth_cap, self.basis.num_shifts)
         modes = []
         for _ in range(prior_modes):
             mode = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             modes.append(mode / np.linalg.norm(mode, axis=0))
         return modes
 
-    def both(self, monkeypatch, columns, prior_modes):
-        """``_unit_columns`` and the kernel stage on copies, and the stage's calls."""
+    def both(self, monkeypatch, seed, scales, prior_modes):
+        """The fused projection and the oracle, the stage's calls and the unnormalized columns.
+
+        Column ``j`` of a random spectrum is scaled to ``scales[j]`` times
+        eps through the band modes of its class, which it alone reads.
+        """
         modes = self.mode_columns(prior_modes)
-        expected = np.ascontiguousarray(columns)
-        normalize_columns(expected, mode_columns=modes)
+        bands = band_map(self.basis, self.grid_size)
+        if modes:
+            bands = cpw._fold_deflation(bands, modes)
+        rng = np.random.default_rng(seed)
+        source = rng.standard_normal(self.grid_size) + 1j * rng.standard_normal(self.grid_size)
+        columns, _ = analyze_spectrum(source, bands)
+        mode_class = bands.order // bands.classes.shape[1]
+        for j, norm in scales.items():
+            source[bands.slots[mode_class == j]] *= norm * self.eps / np.linalg.norm(columns[:, j])
+        columns, _ = analyze_spectrum(source, bands)
+        expected = normalize_oracle(source, bands, modes)
         calls = count_calls(monkeypatch, cpw, "normalize_columns")
-        result = _unit_columns(columns.copy(order="K"), self.eps, modes)
-        return result, expected, len(calls)
+        result = fused_project(source, bands, modes, self.eps)
+        return result, expected, len(calls), columns
 
     @pytest.mark.parametrize("prior_modes", [0, 1])
     def test_fast_path_matches_kernel_stage(self, monkeypatch, prior_modes):
-        columns = self.columns(1, {3: 2.0})
-        assert not columns.flags.c_contiguous
-        result, expected, calls = self.both(monkeypatch, columns, prior_modes)
+        result, expected, calls, _ = self.both(monkeypatch, 1, {3: 2.0}, prior_modes)
+        (band, norms, squared, fused), (expected_band, unit, expected_squared) = result, expected
         assert calls == 0
-        assert np.abs(result - expected).max() <= 1e-15
+        assert np.abs(band - expected_band).max() <= 1e-15 * np.abs(expected_band).max()
+        # The unit columns, as the solver forms them after its loop.
+        assert np.abs(fused[2].T * (1.0 / norms) - unit).max() <= 1e-15
+        assert squared == expected_squared
 
     @pytest.mark.parametrize("scales", [{0: 0.0, 5: 0.5, 9: 2.0}, {5: 0.5, 9: 2.0}])
     @pytest.mark.parametrize("prior_modes", [0, 1])
     def test_fallback_path_bitwise_equals_kernel_stage(self, monkeypatch, prior_modes, scales):
-        columns = self.columns(2, scales)
-        result, expected, calls = self.both(monkeypatch, columns, prior_modes)
+        result, expected, calls, columns = self.both(monkeypatch, 2, scales, prior_modes)
+        (band, norms, squared, fused), (expected_band, unit, expected_squared) = result, expected
         assert calls == 1
-        assert np.array_equal(result, expected)
+        assert np.array_equal(band, expected_band)
+        assert squared == expected_squared
+        # The product's column view holds the unit columns, and the norms are one.
+        assert np.array_equal(fused[2].T, unit)
+        assert np.array_equal(norms, np.ones(self.basis.num_shifts))
         # The vanishing columns took the fallback, not their own direction.
-        assert not np.allclose(result[:, 5], columns[:, 5] / np.linalg.norm(columns[:, 5]))
+        assert not np.allclose(unit[:, 5], columns[:, 5] / np.linalg.norm(columns[:, 5]))
 
 
 class TestDeflationFold:
@@ -467,29 +491,36 @@ class TestDeflationFold:
         bands = band_map(self.basis, self.grid_size)
         if mode_columns:
             bands = cpw._fold_deflation(bands, mode_columns)
-        fused = _fused_blocks(bands)
         eps = DEFAULT_CONFIG.resolve_eps(self.basis.depth_cap)
         rng = np.random.default_rng(10 + prior_modes)
         for _ in range(5):
             source = rng.standard_normal(self.grid_size) + 1j * rng.standard_normal(self.grid_size)
-            columns, squared = analyze_spectrum(source, bands)
-            unit = _unit_columns(columns, eps, mode_columns)
-            expected = synthesize_spectrum(unit, bands)
-            band, norms, fused_squared = _fused_project(source, bands, fused, eps)
+            expected, unit, squared = normalize_oracle(source, bands, mode_columns)
+            band, norms, fused_squared, fused = fused_project(source, bands, mode_columns, eps)
             assert np.abs(band - expected).max() <= 1e-15 * np.abs(expected).max()
             assert fused_squared == squared
+            # The product's columns are the analysis columns bit for bit, so
+            # a fallback step normalizes exactly what analysis would give.
+            columns = fused[1][:, : self.basis.depth_cap, 0].T
+            assert np.array_equal(columns, analyze_spectrum(source, bands)[0])
             # The unit columns, as the solver forms them after its loop.
-            result = fused[1][:, : self.basis.depth_cap, 0].T * (1.0 / norms)
-            assert np.array_equal(result, unit)
+            assert np.abs(columns * (1.0 / norms) - unit).max() <= 1e-15
 
-    def test_fused_block_defers_vanishing_columns(self, modes):
+    def test_fused_block_defers_vanishing_columns(self, modes, monkeypatch):
         bands = band_map(self.basis, self.grid_size)
-        fused = _fused_blocks(bands)
         # The spectrum of the first mode's samples: its columns are unit,
-        # so an eps just above 1 makes every one of them vanish.
+        # so an eps just above 1 makes every one of them vanish, and the
+        # kernel's normalize (whose own eps is far below) scales them.
         source = np.fft.fft(modes.modes[0].samples)
-        assert _fused_project(source, bands, fused, 0.999) is not None
-        assert _fused_project(source, bands, fused, 1.001) is None
+        calls = count_calls(monkeypatch, cpw, "normalize_columns")
+        band, norms, squared, _ = fused_project(source, bands, [], 0.999)
+        assert calls == []
+        assert np.abs(norms - 1.0).max() <= 1e-12
+        deferred, unit_norms, deferred_squared, _ = fused_project(source, bands, [], 1.001)
+        assert len(calls) == 1
+        assert np.array_equal(unit_norms, np.ones(self.basis.num_shifts))
+        assert np.abs(deferred - band).max() <= 1e-15 * np.abs(band).max()
+        assert deferred_squared == squared
 
     def test_start_in_prior_span_takes_kernel_fallback(self, modes, monkeypatch):
         prior = CpwModeSet(self.basis)
@@ -507,6 +538,34 @@ class TestDeflationFold:
         report = check_shift_perpendicular(mode.coeffs, prior.modes[0].coeffs, 1e-12)
         assert report.is_perpendicular
         prior.add(mode)
+
+    @pytest.mark.parametrize("prior_modes", [0, 1])
+    def test_every_iteration_on_the_fallback(self, modes, monkeypatch, prior_modes):
+        # With a zero-norm threshold above every column's norm, the start
+        # and each iteration take the kernel's fallback for every column,
+        # so the mode is the projection of a zero tensor.
+        config = ProjectionConfig(zero_norm_eps=1e6)
+        monkeypatch.setattr(cpw, "DEFAULT_CONFIG", config)
+        calls = []
+
+        def normalize(columns, mode_columns=()):
+            calls.append(1)
+            normalize_columns(columns, config, mode_columns)
+
+        monkeypatch.setattr(cpw, "normalize_columns", normalize)
+        prev = CpwModeSet(self.basis)
+        if prior_modes:
+            prev.add(modes.modes[0])
+        cfg = CpwConfig(grid_size=self.grid_size, tol=1e-30, max_iter=20)
+        mode, diag = solve_cpw_mode(prev, cfg, self.basis)
+        assert diag.iterations == 20
+        assert len(calls) == 1 + 20
+        zero = CoeffTensor(self.basis.domain, np.zeros(self.basis.domain.size, dtype=complex))
+        if prior_modes:
+            expected = project_sso_orth(zero, prev.span, config)
+        else:
+            expected = project_sso(zero, config)
+        assert np.array_equal(mode.coeffs.data, expected.data)
 
 
 class TestAgainstGridReference:

@@ -87,6 +87,30 @@ class TestBasisConstruction:
             with pytest.raises(ValueError):
                 call()
 
+    ELEMENT_FUNCTIONS = {
+        "fourier_coeffs": sopw_fourier_coeffs,
+        "closed_form": lambda k, j, basis: eval_closed_form(k, j, 0.3, basis),
+        "first_derivative": first_derivative_stencil,
+        "second_derivative": second_derivative_stencil,
+        "moment_sums": shell_moment_sums,
+    }
+
+    @pytest.mark.parametrize("name", ELEMENT_FUNCTIONS)
+    @pytest.mark.parametrize("k,j,field", [
+        (1.5, 0, "depth"), (2.0, 0, "depth"), (True, 0, "depth"), ("2", 0, "depth"),
+        (2, 1.5, "shift"), (2, 1.0, "shift"), (2, False, "shift"),
+    ])
+    def test_non_integer_element_indices_rejected(self, name, k, j, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            self.ELEMENT_FUNCTIONS[name](k, j, SopwBasis1D(8, 3))
+
+    @pytest.mark.parametrize("name", ELEMENT_FUNCTIONS)
+    def test_numpy_integer_element_indices_accepted(self, name):
+        basis = SopwBasis1D(8, 3)
+        function = self.ELEMENT_FUNCTIONS[name]
+        # repr compares the stencils' arrays and would show a numpy depth.
+        assert repr(function(np.int64(2), np.uint8(1), basis)) == repr(function(2, 1, basis))
+
     def test_coeff_example_depth1(self):
         basis = SopwBasis1D(2, 2)
         table = dict(sopw_fourier_coeffs(1, 0, basis))
@@ -559,3 +583,13 @@ class TestCertificate:
     def test_tail_periods_validation(self):
         with pytest.raises(ValueError):
             verify_variational_certificate(SopwBasis1D(4, 1), tail_periods=1)
+
+    @pytest.mark.parametrize("tail_periods", [2.0, 2.5, True, "3"])
+    def test_non_integer_tail_periods_rejected(self, tail_periods):
+        with pytest.raises(ValueError, match="tail_periods must be an integer"):
+            verify_variational_certificate(SopwBasis1D(4, 1), tail_periods=tail_periods)
+
+    def test_numpy_integer_tail_periods_accepted(self):
+        report = verify_variational_certificate(SopwBasis1D(4, 1), tail_periods=np.int64(3))
+        assert report == verify_variational_certificate(SopwBasis1D(4, 1), tail_periods=3)
+        assert type(report.tail_periods) is int

@@ -37,7 +37,7 @@ from shiftortho.coeffio import (
     _index_base,
     _parse_rows,
     _read_header,
-    _read_lines,
+    _split_lines,
     format_rows,
 )
 from shiftortho.cpw import _initial_field
@@ -139,6 +139,12 @@ def write_coeff_file_by_table(path, tensor: CoeffTensor) -> None:
             table[:, width] = block.real
             table[:, width + 1] = block.imag
             handle.write(format_rows(template, table))
+
+
+def _read_lines(path) -> list[str]:
+    """Lines of an ASCII text file; a non-ASCII byte is an error on its line."""
+    with open(path, "rb") as handle:
+        return _split_lines(handle.read())
 
 
 def read_coeff_file_by_rows(path) -> CoeffTensor:
