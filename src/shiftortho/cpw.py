@@ -11,19 +11,19 @@ The projection never leaves Fourier-bucket coordinates: the B-transform
 columns of the basis expansion of a band-limited field are its Fourier
 coefficients grouped by residue class mod the shift count, so projecting a
 field's spectrum is one block product per class into columns, a scaling
-to unit norm and one back.  Once per solve, the earlier modes' deflation
-is folded into the analysis blocks and each class's analysis rows are
-stacked on its projector (synthesis times analysis): one product per
-class gives the column norms, the residual and the unscaled projected
-values.  The start and every iteration take this one route; when a column
-vanishes, the product's columns go through the kernel's normalize, for
-its fallbacks, and are synthesized from there.
+to unit norm and one back.  Once per solve, each class's analysis rows,
+with the earlier modes' deflation folded in, are stacked on its projector
+(synthesis times analysis): one product per class gives the column
+norms, the residual and the unscaled projected values.  The start and
+every iteration take this one route; when a column vanishes, the
+product's columns go through the kernel's normalize, for its fallbacks,
+and are synthesized from there.
 Grid fields stay real; the feasibility iterate, its Bregman variable and
-the projected field are kept as full-length spectra divided by the grid
-size (so the inverse FFT skips its scaling pass), in buffers allocated
-once per solve.  The projected spectrum is written on the band slots
-only and stays zero off them, so the updates by it are full-length
-in-place ufuncs.  Each iteration takes two grid FFTs: a forward
+the projected field are kept as full-length ``norm="forward"`` spectra,
+the band map's scale (so the inverse FFT skips its scaling pass), in
+buffers allocated once per solve.  The projected spectrum is written on
+the band slots only and stays zero off them, so the updates by it are
+full-length in-place ufuncs.  Each iteration takes two grid FFTs: a forward
 one for the Helmholtz right-hand side, and one inverse FFT of ``psi_hat +
 i v_hat`` whose real and imaginary parts are the field for the shrink and
 the projected field for the L1 term.  Since that packing hides the
@@ -35,7 +35,7 @@ departure from Hermitian symmetry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,8 +181,8 @@ def _kinetic_symbol(grid_size: int, length: float) -> np.ndarray:
 
 def helmholtz_solve(rhs: np.ndarray, lam: float, r: float, length: float) -> np.ndarray:
     """Solve ``(-0.5 laplacian + lam + r) psi = rhs`` on a periodic grid."""
-    if lam + r <= 0:
-        raise ValueError("lam + r must be positive; the operator is singular")
+    if not 0 < lam + r < math.inf:
+        raise ValueError("lam + r must be finite and positive")
     rhs = np.asarray(rhs)
     symbol = _kinetic_symbol(rhs.shape[0], length)
     out = np.fft.ifft(np.fft.fft(rhs) / (symbol + lam + r))
@@ -194,7 +194,7 @@ def shrink(w: np.ndarray, threshold: float, out: np.ndarray | None = None) -> np
 
     ``out``, if given, receives the result; it may be ``w`` itself.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError("threshold must be nonnegative")
     w = np.asarray(w)
     # w - clip(w, -t, t); the two ufuncs cost a third of np.clip's wrapper.
@@ -210,24 +210,25 @@ def cpw_energy(psi: np.ndarray, mu: float, length: float) -> float:
     evaluated spectrally, exact for band-limited fields.  ``mu = inf``
     drops the L1 term.
     """
+    if not mu > 0:
+        raise ValueError("mu must be positive (inf allowed)")
     psi = np.asarray(psi)
     symbol = _kinetic_symbol(psi.shape[0], length)
-    return float(_energy(psi, np.fft.fft(psi), symbol, mu, length))
+    return float(_energy(psi, np.fft.fft(psi, norm="forward"), symbol, mu, length))
 
 
 def _energy(samples: np.ndarray, spectrum: np.ndarray, symbol: np.ndarray,
             mu: float, length: float):
-    """:func:`cpw_energy` given the samples' (unnormalized) FFT as well.
+    """:func:`cpw_energy` given the samples' ``norm="forward"`` FFT as well.
 
     Works along the last axis, row by row.  ``spectrum`` and ``symbol``
     may be restricted to any set of grid modes that holds every nonzero
     FFT value, such as the band slots.
     """
-    grid_size = samples.shape[-1]
-    kinetic = (length / grid_size**2) * (np.abs(spectrum) ** 2 * symbol).sum(axis=-1)
+    kinetic = length * (np.abs(spectrum) ** 2 * symbol).sum(axis=-1)
     if math.isinf(mu):
         return kinetic
-    l1 = (length / grid_size) * np.abs(samples).sum(axis=-1)
+    l1 = (length / samples.shape[-1]) * np.abs(samples).sum(axis=-1)
     return l1 / mu + kinetic
 
 
@@ -240,42 +241,38 @@ def support_fraction(samples: np.ndarray) -> float:
     return float(np.count_nonzero(magnitude > _SUPPORT_LEVEL * peak)) / samples.shape[0]
 
 
-def _imag_bound(band_spectrum: np.ndarray, grid_size: int):
+def _imag_bound(band_spectrum: np.ndarray):
     """Upper bound on ``max |Im ifft(spectrum)|`` for a band-supported spectrum.
 
-    ``band_spectrum`` holds the (unnormalized) grid FFT values of modes
+    ``band_spectrum`` holds the ``norm="forward"`` grid FFT values of modes
     ``-band..band`` along its last axis, all others being zero.  The
-    imaginary part of the inverse FFT is ``1/(2i n)`` times the sum over
+    imaginary part of the inverse FFT is ``1/(2i)`` times the sum over
     modes of ``c(k) - conj c(-k)`` times a unit phase, so its magnitude is
-    at most the sum of those differences' magnitudes over ``2n``.
+    at most half the sum of those differences' magnitudes.
     """
     mirror = band_spectrum[..., ::-1].conj()
-    return np.abs(band_spectrum - mirror).sum(axis=-1) / (2 * grid_size)
+    return np.abs(band_spectrum - mirror).sum(axis=-1) / 2
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 
-def _fold_deflation(bands: BandMap, mode_columns: list[np.ndarray]) -> BandMap:
-    """``bands`` with the analysis rows of shells 1..depth_cap deflated by ``I - Q_j Q_j^H``.
-
-    ``Q_j`` stacks the mode columns at frequency ``j``; the cap row stays.
-    """
-    q = np.stack(mode_columns, axis=-1).transpose(1, 0, 2)
-    analysis = bands.analysis.copy()
-    analysis[:, :-1] -= q @ (q.conj().transpose(0, 2, 1) @ analysis[:, :-1])
-    return replace(bands, analysis=analysis)
-
-
-def _fused_blocks(bands: BandMap):
+def _fused_blocks(bands: BandMap, mode_columns: list[np.ndarray]):
     """Per class, the analysis rows (cap last) stacked on the projector ``S_j A_j[:N]``.
 
+    With modes, a copy of the rows of shells 1..depth_cap is deflated by
+    ``I - Q_j Q_j^H``, ``Q_j`` stacking the mode columns at frequency ``j``.
     Also a product buffer and its column, cap and flat views, the class
     gather index, each band mode's place in the flat product and its class.
     """
     depth_cap, width = bands.synthesis.shape[2], bands.classes.shape[1]
-    blocks = np.concatenate([bands.analysis, bands.synthesis @ bands.analysis[:, :-1]], axis=1)
+    analysis = bands.analysis
+    if mode_columns:
+        q = np.stack(mode_columns, axis=-1).transpose(1, 0, 2)
+        analysis = analysis.copy()
+        analysis[:, :-1] -= q @ (q.conj().transpose(0, 2, 1) @ analysis[:, :-1])
+    blocks = np.concatenate([analysis, bands.synthesis @ analysis[:, :-1]], axis=1)
     products = np.empty(blocks.shape[:2] + (1,), dtype=np.complex128)
     mode_class = bands.order // width
     order = mode_class * blocks.shape[1] + depth_cap + 1 + bands.order % width
@@ -348,18 +345,11 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D):
     mode_columns = prev.span.columns
     eps = DEFAULT_CONFIG.resolve_eps(domain.depth_count)
     bands = band_map(basis, grid_size)
-    if mode_columns:
-        bands = _fold_deflation(bands, mode_columns)
-    # Spectra are kept divided by grid_size (exactly, on a power-of-two
-    # grid), so the inverse FFT skips its scaling pass; the energy's band
-    # symbol and the imaginary-part bound's divisor take the factor back.
-    bands = replace(bands, analysis=grid_size * bands.analysis,
-                    synthesis=bands.synthesis / grid_size,
-                    outside_weight=bands.outside_weight * grid_size**2)
+    # The loop's forward FFT stays unnormalized (norm="forward" adds a scaling
+    # pass, ~1.5 of ~9 us at 512 points on numpy 2.4.6), so lam_h takes 1/grid_size.
     lam_h /= grid_size
-    band_symbol = symbol[bands.slots] * grid_size**2
-
-    fused = _fused_blocks(bands)
+    band_symbol = symbol[bands.slots]
+    fused = _fused_blocks(bands, mode_columns)
 
     # Row i holds iteration i of a block (psi + i v as the inverse FFT wrote
     # it, u, v's band values); row 0 carries the row before, for the dual.
@@ -373,7 +363,7 @@ def solve_cpw_mode(prev: CpwModeSet | None, cfg: CpwConfig, basis: SopwBasis1D):
         psi, v, u = fields[: last + 1].real, fields[: last + 1].imag, u_rows[: last + 1]
         blocks.append((
             _energy(v[1:], band_rows[1 : last + 1], band_symbol, mu, period),
-            _imag_bound(band_rows[1 : last + 1], 1).max(keepdims=True),
+            _imag_bound(band_rows[1 : last + 1]).max(keepdims=True),
             _row_norms(psi[1:] - v[1:]) / _row_norms(v[1:]),
             _row_norms(psi[1:] - u[1:]) / _row_norms(psi[1:]),
             math.sqrt(period / grid_size)

@@ -132,16 +132,16 @@ def sopw_fourier_coeffs(k: int, j: int, basis: SopwBasis1D):
 class BandMap:
     """One analysis and one synthesis block per residue class of a source's band modes.
 
-    The source (band coefficients, or a grid FFT) holds mode ``n`` at
-    ``slots[n + band_limit]``.  Column ``j`` of every shell is a linear map
-    of the class ``n = -j mod L`` alone.  Row ``j`` of ``classes`` holds
-    its ``K = depth_cap + 1`` source indices in increasing mode order; a
-    class one mode short ends on an index with zero block entries.  The
+    The source (band coefficients, or a ``norm="forward"`` grid FFT) holds
+    mode ``n`` at ``slots[n + band_limit]``.  Column ``j`` of every shell
+    is a linear map of the class ``n = -j mod L`` alone.  Row ``j`` of
+    ``classes`` holds its ``K = depth_cap + 1`` source indices in
+    increasing mode order; a class one mode short ends on an index with
+    zero block entries.  The
     analysis blocks are ``L`` times the conjugate transposed synthesis
     blocks, plus a row for the shell above the cap; both include the
-    source's scale.  Off-band source entries (``outside``) count
-    ``outside_weight`` times their squared magnitude in the squared
-    analysis residual.
+    source's scale.  Off-band source entries (``outside``) count ``L``
+    times their squared magnitude in the squared analysis residual.
     """
 
     slots: np.ndarray
@@ -150,7 +150,6 @@ class BandMap:
     analysis: np.ndarray  # (L, depth_cap + 1, K): shells 1..depth_cap + 1
     synthesis: np.ndarray  # (L, K, depth_cap)
     outside: slice
-    outside_weight: float
 
 
 @lru_cache(maxsize=64)
@@ -171,20 +170,20 @@ def _band_tables(basis: SopwBasis1D) -> BandMap:
             if abs(n) <= band:
                 coeffs[column[n + band], k - 1, entry[n + band]] = c
     return BandMap(index, classes, column * width + entry, num_shifts * np.conj(coeffs),
-                   np.ascontiguousarray(coeffs[:, :-1].transpose(0, 2, 1)), slice(0), 0.0)
+                   np.ascontiguousarray(coeffs[:, :-1].transpose(0, 2, 1)), slice(0))
 
 
 def band_map(basis: SopwBasis1D, grid_size: int) -> BandMap:
-    """The :class:`BandMap` of unnormalized grid FFTs of ``grid_size`` samples."""
+    """The :class:`BandMap` of ``norm="forward"`` grid FFTs of ``grid_size`` samples."""
     band = basis.band_limit
     if grid_size < 2 * band + 1:
         raise AliasingError(f"grid size {grid_size} below Nyquist requirement {2 * band + 1}")
     slots = np.mod(np.arange(-band, band + 1), grid_size)
     tabs = _band_tables(basis)
     # Grid FFT values on the band times this are basis Fourier coefficients.
-    to_band = math.sqrt(basis.num_shifts) / grid_size
+    to_band = math.sqrt(basis.num_shifts)
     return BandMap(slots, slots[tabs.classes], tabs.order, to_band * tabs.analysis,
-                   tabs.synthesis / to_band, slice(band + 1, grid_size - band), to_band**2)
+                   tabs.synthesis / to_band, slice(band + 1, grid_size - band))
 
 
 def analyze_spectrum(source: np.ndarray, bands: BandMap):
@@ -203,8 +202,7 @@ def analyze_spectrum(source: np.ndarray, bands: BandMap):
 def _squared_residual(cap: np.ndarray, source: np.ndarray, bands: BandMap) -> float:
     """:func:`analyze_spectrum`'s squared residual from its cap entries, one per shift."""
     outside = source[bands.outside]
-    return (np.vdot(cap, cap).real / cap.size
-            + bands.outside_weight * np.vdot(outside, outside).real)
+    return np.vdot(cap, cap).real / cap.size + cap.size * np.vdot(outside, outside).real
 
 
 def synthesize_spectrum(columns: np.ndarray, bands: BandMap) -> np.ndarray:
@@ -253,7 +251,7 @@ def synthesize_grid(t: CoeffTensor, grid_size: int, basis: SopwBasis1D) -> np.nd
     bands = band_map(basis, grid_size)
     spectrum = np.zeros(grid_size, dtype=np.complex128)
     spectrum[bands.slots] = synthesize_spectrum(b_transform(t).columns, bands)
-    return np.fft.ifft(spectrum)
+    return np.fft.ifft(spectrum, norm="forward")
 
 
 def analyze_grid(samples: np.ndarray, basis: SopwBasis1D):
@@ -264,7 +262,7 @@ def analyze_grid(samples: np.ndarray, basis: SopwBasis1D):
     """
     samples = np.ascontiguousarray(samples)
     bands = band_map(basis, samples.shape[0])
-    columns, squared = analyze_spectrum(np.fft.fft(samples), bands)
+    columns, squared = analyze_spectrum(np.fft.fft(samples, norm="forward"), bands)
     return b_inverse(CoeffTensor(basis.domain, columns)), math.sqrt(squared)
 
 

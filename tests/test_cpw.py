@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,10 +62,16 @@ def normalize_oracle(source, bands, mode_columns):
 
 def fused_project(source, bands, mode_columns, eps):
     """:func:`_fused_project` on fresh blocks: band spectrum, norms, residual, blocks."""
-    fused = _fused_blocks(bands)
+    fused = _fused_blocks(bands, mode_columns)
     band = np.empty(bands.slots.size, dtype=np.complex128)
     norms, squared = _fused_project(source, bands, fused, eps, mode_columns, band)
     return band, norms, squared, fused
+
+
+def folded_map(bands, mode_columns):
+    """``bands`` with the analysis rows of the fused blocks, deflated by the modes."""
+    analysis = _fused_blocks(bands, mode_columns)[0][:, : bands.synthesis.shape[2] + 1]
+    return replace(bands, analysis=analysis)
 
 
 def assert_band_limited(samples, basis):
@@ -105,6 +112,13 @@ class TestHelmholtz:
         with pytest.raises(ValueError):
             helmholtz_solve(np.zeros(8), 1.0, -1.0, 4.0)
 
+    # Unchecked, a NaN penalty gives NaN samples and an infinite sum zeros.
+    @pytest.mark.parametrize("lam,r", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                       (1.0, math.inf), (math.inf, -math.inf)])
+    def test_rejects_non_finite_penalties(self, lam, r):
+        with pytest.raises(ValueError, match="lam \\+ r"):
+            helmholtz_solve(np.ones(8), lam, r, 8.0)
+
 
 class TestShrink:
     def test_below_threshold_vanishes(self):
@@ -134,6 +148,12 @@ class TestShrink:
         with pytest.raises(ValueError):
             shrink(np.zeros(4), -0.1, out=np.empty(4))
 
+    # A NaN threshold fails every comparison, so a sign test alone lets it through.
+    @pytest.mark.parametrize("out", [None, np.empty(4)], ids=["fresh", "out"])
+    def test_rejects_nan_threshold(self, out):
+        with pytest.raises(ValueError, match="threshold"):
+            shrink(np.zeros(4), math.nan, out=out)
+
     @pytest.mark.parametrize("threshold", [0.0, 0.37])
     def test_out_buffer_bitwise_equal(self, threshold):
         w = np.random.default_rng(2).uniform(-1, 1, 64)
@@ -157,6 +177,12 @@ class TestShrink:
 class TestEnergy:
     def test_zero_field(self):
         assert cpw_energy(np.zeros(64), 2.0, 8.0) == 0.0
+
+    # Unchecked, mu = -1 gives a negative energy, 0 a division by zero, NaN a NaN.
+    @pytest.mark.parametrize("mu", [-1.0, 0.0, -math.inf, math.nan])
+    def test_rejects_non_positive_mu(self, mu):
+        with pytest.raises(ValueError, match="mu"):
+            cpw_energy(np.ones(8), mu, 8.0)
 
     def test_generator_energy_matches_table(self):
         from shiftortho import flatten, synthesize_grid
@@ -316,21 +342,25 @@ class TestLoopBudget:
         assert diag.iterations == 11
         assert calls == []
 
-    # The projected spectrum is kept on the full grid, zero off the band.
-    @pytest.mark.parametrize("prior_modes", [0, 2])
-    def test_samples_are_band_limited(self, prior_modes):
+    # The projected spectrum is kept on the full grid, zero off the band;
+    # 120 points is a grid where the spectra's 1/grid_size scale rounds.
+    @pytest.mark.parametrize("prior_modes,grid_size", [(0, 128), (2, 128), (0, 120), (2, 120)],
+                             ids=["0", "2", "0-grid120", "2-grid120"])
+    def test_samples_are_band_limited(self, prior_modes, grid_size):
         basis = SopwBasis1D(8, 4)
-        prev, _ = solve_cpw_modes(prior_modes, CpwConfig(grid_size=128), basis)
-        mode, _ = solve_cpw_mode(prev, CpwConfig(grid_size=128, max_iter=200), basis)
+        prev, _ = solve_cpw_modes(prior_modes, CpwConfig(grid_size=grid_size), basis)
+        mode, _ = solve_cpw_mode(prev, CpwConfig(grid_size=grid_size, max_iter=200), basis)
         assert_band_limited(mode.samples, basis)
 
     # Diagnostics are reduced in blocks of 64 iterations: stops before,
-    # on and after a block edge.
-    @pytest.mark.parametrize("max_iter", [1, 64, 65, 128])
+    # on and after a block edge, also on a grid that is no power of two.
+    @pytest.mark.parametrize("max_iter,grid_size",
+                             [(1, 128), (64, 128), (65, 128), (128, 128), (65, 120)],
+                             ids=["1", "64", "65", "128", "65-grid120"])
     @pytest.mark.parametrize("mu", [0.5, math.inf])
-    def test_last_energy_is_energy_of_returned_samples(self, mu, max_iter):
+    def test_last_energy_is_energy_of_returned_samples(self, mu, max_iter, grid_size):
         basis = SopwBasis1D(8, 4)
-        cfg = CpwConfig(mu=mu, grid_size=128, tol=1e-30, max_iter=max_iter)
+        cfg = CpwConfig(mu=mu, grid_size=grid_size, tol=1e-30, max_iter=max_iter)
         mode, diag = solve_cpw_mode(None, cfg, basis)
         assert len(diag.energy_history) == max_iter
         expected = cpw_energy(mode.samples, mu, float(basis.num_shifts))
@@ -345,10 +375,10 @@ class TestLoopBudget:
                         + 1j * rng.standard_normal((rows, 2 * band + 1)))
         symbol = _kinetic_symbol(grid_size, 8.0)[np.mod(np.arange(-band, band + 1), grid_size)]
         energies = _energy(samples, band_spectra, symbol, mu, 8.0)
-        bounds = _imag_bound(band_spectra, grid_size)
+        bounds = _imag_bound(band_spectra)
         for row in range(rows):
             assert energies[row] == _energy(samples[row], band_spectra[row], symbol, mu, 8.0)
-            assert bounds[row] == _imag_bound(band_spectra[row], grid_size)
+            assert bounds[row] == _imag_bound(band_spectra[row])
 
     def test_returned_samples_are_an_owned_copy(self):
         basis = SopwBasis1D(8, 4)
@@ -384,14 +414,14 @@ class TestLoopBudget:
         band_spectrum = rng.standard_normal(2 * band + 1) + 1j * rng.standard_normal(2 * band + 1)
         spectrum = np.zeros(grid_size, dtype=complex)
         spectrum[np.mod(np.arange(-band, band + 1), grid_size)] = band_spectrum
-        actual = np.abs(np.fft.ifft(spectrum).imag).max()
-        assert actual <= _imag_bound(band_spectrum, grid_size) * (1 + 1e-12)
+        actual = np.abs(np.fft.ifft(spectrum, norm="forward").imag).max()
+        assert actual <= _imag_bound(band_spectrum) * (1 + 1e-12)
 
     def test_imag_bound_vanishes_on_hermitian_spectra(self):
         rng = np.random.default_rng(5)
         half = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         band_spectrum = np.concatenate([half[::-1].conj(), [0.7], half])
-        assert _imag_bound(band_spectrum, 64) == 0.0
+        assert _imag_bound(band_spectrum) == 0.0
 
 
 class TestUnitColumns:
@@ -418,16 +448,15 @@ class TestUnitColumns:
         """
         modes = self.mode_columns(prior_modes)
         bands = band_map(self.basis, self.grid_size)
-        if modes:
-            bands = cpw._fold_deflation(bands, modes)
+        folded = folded_map(bands, modes)
         rng = np.random.default_rng(seed)
         source = rng.standard_normal(self.grid_size) + 1j * rng.standard_normal(self.grid_size)
-        columns, _ = analyze_spectrum(source, bands)
+        columns, _ = analyze_spectrum(source, folded)
         mode_class = bands.order // bands.classes.shape[1]
         for j, norm in scales.items():
             source[bands.slots[mode_class == j]] *= norm * self.eps / np.linalg.norm(columns[:, j])
-        columns, _ = analyze_spectrum(source, bands)
-        expected = normalize_oracle(source, bands, modes)
+        columns, _ = analyze_spectrum(source, folded)
+        expected = normalize_oracle(source, folded, modes)
         calls = count_calls(monkeypatch, cpw, "normalize_columns")
         result = fused_project(source, bands, modes, self.eps)
         return result, expected, len(calls), columns
@@ -473,7 +502,7 @@ class TestDeflationFold:
     def test_folded_analysis_equals_deflated_analysis(self, modes, prior_modes):
         mode_columns = modes.span.columns[:prior_modes]
         bands = band_map(self.basis, self.grid_size)
-        folded = cpw._fold_deflation(bands, mode_columns)
+        folded = folded_map(bands, mode_columns)
         q = np.stack(mode_columns)
         rng = np.random.default_rng(prior_modes)
         for _ in range(5):
@@ -489,20 +518,19 @@ class TestDeflationFold:
     def test_fused_block_equals_analyze_normalize_synthesize(self, modes, prior_modes):
         mode_columns = modes.span.columns[:prior_modes]
         bands = band_map(self.basis, self.grid_size)
-        if mode_columns:
-            bands = cpw._fold_deflation(bands, mode_columns)
+        folded = folded_map(bands, mode_columns)
         eps = DEFAULT_CONFIG.resolve_eps(self.basis.depth_cap)
         rng = np.random.default_rng(10 + prior_modes)
         for _ in range(5):
             source = rng.standard_normal(self.grid_size) + 1j * rng.standard_normal(self.grid_size)
-            expected, unit, squared = normalize_oracle(source, bands, mode_columns)
+            expected, unit, squared = normalize_oracle(source, folded, mode_columns)
             band, norms, fused_squared, fused = fused_project(source, bands, mode_columns, eps)
             assert np.abs(band - expected).max() <= 1e-15 * np.abs(expected).max()
             assert fused_squared == squared
             # The product's columns are the analysis columns bit for bit, so
             # a fallback step normalizes exactly what analysis would give.
             columns = fused[1][:, : self.basis.depth_cap, 0].T
-            assert np.array_equal(columns, analyze_spectrum(source, bands)[0])
+            assert np.array_equal(columns, analyze_spectrum(source, folded)[0])
             # The unit columns, as the solver forms them after its loop.
             assert np.abs(columns * (1.0 / norms) - unit).max() <= 1e-15
 
@@ -511,7 +539,7 @@ class TestDeflationFold:
         # The spectrum of the first mode's samples: its columns are unit,
         # so an eps just above 1 makes every one of them vanish, and the
         # kernel's normalize (whose own eps is far below) scales them.
-        source = np.fft.fft(modes.modes[0].samples)
+        source = np.fft.fft(modes.modes[0].samples, norm="forward")
         calls = count_calls(monkeypatch, cpw, "normalize_columns")
         band, norms, squared, _ = fused_project(source, bands, [], 0.999)
         assert calls == []
@@ -572,10 +600,10 @@ class TestAgainstGridReference:
     """The bucket-coordinate loop against the tensor round trip it replaced."""
 
     @staticmethod
-    def run_both(prior_modes, max_iter):
+    def run_both(prior_modes, max_iter, grid_size=128):
         basis = SopwBasis1D(8, 4)
-        prev, _ = solve_cpw_modes(prior_modes, CpwConfig(grid_size=128), basis)
-        cfg = CpwConfig(grid_size=128, tol=1e-30, max_iter=max_iter)
+        prev, _ = solve_cpw_modes(prior_modes, CpwConfig(grid_size=grid_size), basis)
+        cfg = CpwConfig(grid_size=grid_size, tol=1e-30, max_iter=max_iter)
         mode, diag = solve_cpw_mode(prev, cfg, basis)
         coeffs, samples, energies, residuals = grid_bregman_reference(prev, cfg, basis)
         assert diag.iterations == max_iter
@@ -584,9 +612,12 @@ class TestAgainstGridReference:
         assert np.all(np.abs(diag.energy_history - energies) <= 1e-12 * np.abs(energies))
         return diag, residuals
 
-    @pytest.mark.parametrize("prior_modes", [0, 1, 2])
-    def test_fifty_iterations(self, prior_modes):
-        self.run_both(prior_modes, 50)
+    # 120 points: a grid where the spectra's 1/grid_size scale rounds.
+    @pytest.mark.parametrize("prior_modes,grid_size", [(0, 128), (1, 128), (2, 128), (0, 120),
+                                                       (1, 120)],
+                             ids=["0", "1", "2", "0-grid120", "1-grid120"])
+    def test_fifty_iterations(self, prior_modes, grid_size):
+        self.run_both(prior_modes, 50, grid_size)
 
     def test_across_block_edges(self):
         # 130 iterations cross two edges of the loop's 64-iteration
