@@ -14,7 +14,6 @@ import contextlib
 import json
 import math
 import os
-import statistics
 import sys
 import time
 import timeit
@@ -172,7 +171,7 @@ def _bench_section(label, domains, repeats, rng) -> dict:
     for _ in range(repeats):
         for timer, count, times in zip(timers, batch, samples):
             times.append(timer.timeit(count) / count)
-    medians = [float(statistics.median(times)) for times in samples]
+    medians = [float(np.median(times)) for times in samples]
     # Least-squares fit of t = c * M * log(shift_count).
     predictor = np.array([d.size * math.log(d.shift_count) for d in domains])
     constant = float(predictor @ np.array(medians) / (predictor @ predictor))

@@ -128,53 +128,41 @@ def _template(e: int, zeros: int, negative: int) -> str:
     return f"{sign}%d.%0{places}d" if places > 0 else f"{sign}%d"
 
 
-class _DecimalTables:
-    """Powers of ten and value templates by decimal exponent, each built on first use."""
-
-    def __init__(self):
-        exponents = 2 * _EXP_LIMIT + 1
-        # Entry e + _EXP_LIMIT: 10**(16 - e) as a (hi, lo) pair.
-        self.ten_hi, self.ten_lo = np.zeros(exponents), np.zeros(exponents)
-        self.ten_known = np.zeros(exponents, dtype=bool)
-        # Code ((e + _EXP_LIMIT) * 17 + zeros) * 2 + negative, then "0" and "-0".
-        self.zero_code = exponents * 34
-        self.templates = np.empty(self.zero_code + 2, dtype=object)
-        self.templates[self.zero_code :] = ["0", "-0"]
-        self.template_known = np.zeros(self.zero_code + 2, dtype=bool)
-        self.template_known[self.zero_code :] = True
-        self.pow10 = 10 ** np.arange(18, dtype=np.int64)
-
-    def powers(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        entries = e + _EXP_LIMIT
-        for i in set(entries[~self.ten_known[entries]].tolist()):
-            self.ten_hi[i], self.ten_lo[i] = _ten_pair(16 + _EXP_LIMIT - i)
-            self.ten_known[i] = True
-        return self.ten_hi[entries], self.ten_lo[entries]
-
-    def template_list(self, code: np.ndarray) -> list[str]:
-        for c in set(code[~self.template_known[code]].tolist()):
-            self.templates[c] = _template(c // 34 - _EXP_LIMIT, c // 2 % 17, c % 2)
-            self.template_known[c] = True
-        return self.templates[code].tolist()
+# Powers of ten and value templates, each built on first use.  Entry
+# e + _EXP_LIMIT of the power tables: 10**(16 - e) as a (hi, lo) pair.
+_TEN_HI, _TEN_LO = np.zeros(2 * _EXP_LIMIT + 1), np.zeros(2 * _EXP_LIMIT + 1)
+_TEN_KNOWN = np.zeros(2 * _EXP_LIMIT + 1, dtype=bool)
+# Template code ((e + _EXP_LIMIT) * 17 + zeros) * 2 + negative, then "0" and "-0".
+_ZERO_CODE = (2 * _EXP_LIMIT + 1) * 34
+_TEMPLATES = np.empty(_ZERO_CODE + 2, dtype=object)
+_TEMPLATES[_ZERO_CODE:] = ["0", "-0"]
+_TEMPLATE_KNOWN = np.zeros(_ZERO_CODE + 2, dtype=bool)
+_TEMPLATE_KNOWN[_ZERO_CODE:] = True
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
 
 
-_tables: _DecimalTables | None = None
+def _powers(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    entries = e + _EXP_LIMIT
+    for i in set(entries[~_TEN_KNOWN[entries]].tolist()):
+        _TEN_HI[i], _TEN_LO[i] = _ten_pair(16 + _EXP_LIMIT - i)
+        _TEN_KNOWN[i] = True
+    return _TEN_HI[entries], _TEN_LO[entries]
 
 
-def _decimal_tables() -> _DecimalTables:
-    global _tables
-    if _tables is None:
-        _tables = _DecimalTables()
-    return _tables
+def _template_list(code: np.ndarray) -> list[str]:
+    for c in set(code[~_TEMPLATE_KNOWN[code]].tolist()):
+        _TEMPLATES[c] = _template(c // 34 - _EXP_LIMIT, c // 2 % 17, c % 2)
+        _TEMPLATE_KNOWN[c] = True
+    return _TEMPLATES[code].tolist()
 
 
-def _scaled(a: np.ndarray, e: np.ndarray, tables: _DecimalTables):
+def _scaled(a: np.ndarray, e: np.ndarray):
     """a * 10**(16 - e) as an int64 part plus a small float part, within 1e-13.
 
-    Dekker's exact product of a and the power's hi (a Veltkamp split of each
-    factor, since numpy has no fma) plus a times the power's lo.
+    Dekker's exact product of a and the power's hi (``_powers``; a Veltkamp
+    split of each factor, since numpy has no fma) plus a times its lo.
     """
-    hi, lo = tables.powers(e)
+    hi, lo = _powers(e)
     product = a * hi
     c = _SPLIT * a
     a_hi = c - (c - a)
@@ -188,7 +176,7 @@ def _scaled(a: np.ndarray, e: np.ndarray, tables: _DecimalTables):
     return whole, (product - whole) + error + a * lo
 
 
-def _digits(values: np.ndarray, tables: _DecimalTables):
+def _digits(values: np.ndarray):
     """D = round(|x| * 10**(16 - e)) and e = floor(log10 |x|) of every value.
 
     Also a mask of the values whose D is certain: finite x in
@@ -201,13 +189,13 @@ def _digits(values: np.ndarray, tables: _DecimalTables):
     certain = (a >= _DIGIT_RANGE[0]) & (a <= _DIGIT_RANGE[1])
     a[~certain] = 1.0
     e = np.floor(np.log10(a)).astype(np.int64)
-    whole, part = _scaled(a, e, tables)
+    whole, part = _scaled(a, e)
     below = np.floor(part)
     d = whole + below.astype(np.int64)  # the product's floor; rounded at the end
     off = np.flatnonzero((d < 10**16) | (d >= 10**17))
     if off.size:
         e[off] += np.where(d[off] < 10**16, -1, 1)
-        whole[off], part[off] = _scaled(a[off], e[off], tables)
+        whole[off], part[off] = _scaled(a[off], e[off])
         below[off] = np.floor(part[off])
         d[off] = whole[off] + below[off].astype(np.int64)
         certain[off] &= (d[off] >= 10**16) & (d[off] < 10**17)
@@ -220,14 +208,14 @@ def _digits(values: np.ndarray, tables: _DecimalTables):
     return d, e, certain
 
 
-def _value_fields(values: np.ndarray, tables: _DecimalTables) -> tuple[list[str], list[int]]:
+def _value_fields(values: np.ndarray) -> tuple[list[str], list[int]]:
     """One ``%`` template per value and the int arguments of all, in order.
 
     Together they print each value as ``"%.17g" % value`` does: from its
     digits (``_digits``) where those are certain, from templates of their
     own for zeros, and as its own ``%.17g`` text otherwise.
     """
-    d, e, certain = _digits(values, tables)
+    d, e, certain = _digits(values)
     zeros = np.zeros(len(d), dtype=np.int64)
     index = np.flatnonzero((d % 10 == 0) & certain)
     rest = d[index] // 10
@@ -238,22 +226,21 @@ def _value_fields(values: np.ndarray, tables: _DecimalTables) -> tuple[list[str]
     negative = np.signbit(values)
     code = ((e + _EXP_LIMIT) * 17 + zeros) * 2 + negative
     zero = values == 0
-    code[zero] = tables.zero_code + negative[zero]
-    templates = tables.template_list(code)
+    code[zero] = _ZERO_CODE + negative[zero]
+    templates = _template_list(code)
     for i in np.flatnonzero(~certain & ~zero).tolist():
         templates[i] = "%.17g" % values[i]
     # D splits at 10**cut into the part before the decimal point and the
     # digits after it, trailing zeros dropped.
     cut = np.where((e < -4) | (e >= 17), 16, np.where(e < 0, zeros, 16 - e))
     args = np.empty((len(d), 2), dtype=np.int64)
-    args[:, 0], args[:, 1] = np.divmod(d, tables.pow10[cut])
-    args[:, 1] //= tables.pow10[zeros]
+    args[:, 0], args[:, 1] = np.divmod(d, _POW10[cut])
+    args[:, 1] //= _POW10[zeros]
     taken = np.stack([certain, certain & (cut > zeros)], axis=1)
     return templates, np.compress(taken.ravel(), args).tolist()
 
 
-def _block_text(values: np.ndarray, index: np.ndarray, rows: list[str],
-                tables: _DecimalTables) -> str:
+def _block_text(values: np.ndarray, index: np.ndarray, rows: list[str]) -> str:
     """The text of one block of rows, formatted by one ``%``.
 
     Each row of ``index`` (file indices of the leading axes) is the prefix
@@ -262,7 +249,7 @@ def _block_text(values: np.ndarray, index: np.ndarray, rows: list[str],
     """
     # Values first, so that their temporaries and the row strings below are
     # never alive together.
-    templates, args = _value_fields(values, tables)
+    templates, args = _value_fields(values)
     lead_fields = ",".join(["%d"] * index.shape[1])
     prefixes = "\n".join([lead_fields] * len(index)) % tuple(index.ravel().tolist())
     count = len(index) * len(rows)
@@ -298,14 +285,13 @@ def write_coeff_file(path, tensor: CoeffTensor) -> None:
     run = len(rows)
     run_count, runs_per_block = domain.size // run, _ROWS_PER_FORMAT // run
     values = data.view(np.float64).reshape(domain.size, -1)
-    tables = _decimal_tables()
     with output_file(path, encoding="ascii") as handle:
         handle.write(_header(domain, kind) + "\n")
         for first in range(0, run_count, runs_per_block):
             runs = np.arange(first, min(first + runs_per_block, run_count))
             index = np.column_stack(np.unravel_index(runs, shape[:lead])) + base[:lead]
             block = values[first * run : (first + len(runs)) * run].ravel()
-            handle.write(_block_text(block, index, rows, tables))
+            handle.write(_block_text(block, index, rows))
 
 
 def _split_lines(raw: bytes) -> list[str]:

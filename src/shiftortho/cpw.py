@@ -175,6 +175,8 @@ class CpwModeSet:
 
 def _kinetic_symbol(grid_size: int, length: float) -> np.ndarray:
     """Eigenvalues of ``-0.5 laplacian`` on the grid's FFT modes."""
+    if not 0 < length < math.inf:
+        raise ValueError("length must be finite and positive")
     modes = np.fft.fftfreq(grid_size, d=1.0 / grid_size)
     return 2.0 * (math.pi * modes / length) ** 2
 

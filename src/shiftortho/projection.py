@@ -90,6 +90,9 @@ class ProjectionConfig:
         # NaN and inf fail too: either would send every column to the fallback.
         if self.zero_norm_eps is not None and not 0 <= self.zero_norm_eps < math.inf:
             raise ValueError("zero_norm_eps must be finite and nonnegative")
+        # Anything else would take the first-canonical branch of ``_fallback_column``.
+        if not isinstance(self.fallback_vector, FallbackVector):
+            raise ValueError("fallback_vector must be a FallbackVector")
 
     def resolve_eps(self, depth_count: int) -> float:
         """Zero-norm threshold for columns of ``depth_count`` coefficients."""

@@ -1310,6 +1310,26 @@ class TestStartUp:
         assert "shiftortho.cli" in imported
         assert [name for name in imported if name.split(".")[0] == "scipy"] == []
 
+    def test_import_fills_no_writer_table_and_loads_no_statistics(self):
+        # The writer's tables fill on first use, and the bench's medians come
+        # from numpy: neither may cost an invocation that does not need it.
+        script = (
+            "import json, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import shiftortho.cli\n"
+            "from shiftortho import coeffio\n"
+            "print(json.dumps([coeffio._TEN_KNOWN.nonzero()[0].tolist(),\n"
+            "                  coeffio._TEMPLATE_KNOWN.nonzero()[0].tolist(),\n"
+            "                  sorted(name for name in sys.modules\n"
+            "                         if name.split('.')[0] in ('scipy', 'statistics'))]))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script, self.SRC],
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        powers, templates, modules = json.loads(result.stdout)
+        assert powers == [] and modules == []
+        assert templates == [coeffio._ZERO_CODE, coeffio._ZERO_CODE + 1]
+
 
 class TestWithoutScipy:
     """The library and the CLI run in a process where scipy cannot be imported."""

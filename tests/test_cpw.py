@@ -34,6 +34,9 @@ from shiftortho.projection import DEFAULT_CONFIG, ProjectionConfig, normalize_co
 from shiftortho.sopw import analyze_spectrum, band_map, synthesize_spectrum
 from util import gram_shift, grid_bregman_reference, theta_energy
 
+# Periods that no grid has: ``helmholtz_solve`` and ``cpw_energy`` reject them.
+BAD_LENGTHS = [-8.0, 0.0, -math.inf, math.inf, math.nan]
+
 
 def count_calls(monkeypatch, owner, name):
     """Wrap ``owner.name`` to record each call; returns the list of records."""
@@ -119,6 +122,12 @@ class TestHelmholtz:
         with pytest.raises(ValueError, match="lam \\+ r"):
             helmholtz_solve(np.ones(8), lam, r, 8.0)
 
+    # Unchecked, a zero or NaN length gives NaN samples and a negative one a result.
+    @pytest.mark.parametrize("length", BAD_LENGTHS)
+    def test_rejects_bad_length(self, length):
+        with pytest.raises(ValueError, match="length"):
+            helmholtz_solve(np.ones(8), 1.0, 1.0, length)
+
 
 class TestShrink:
     def test_below_threshold_vanishes(self):
@@ -183,6 +192,12 @@ class TestEnergy:
     def test_rejects_non_positive_mu(self, mu):
         with pytest.raises(ValueError, match="mu"):
             cpw_energy(np.ones(8), mu, 8.0)
+
+    # Unchecked, a negative length gives a negative energy, the others NaN.
+    @pytest.mark.parametrize("length", BAD_LENGTHS)
+    def test_rejects_bad_length(self, length):
+        with pytest.raises(ValueError, match="length"):
+            cpw_energy(np.ones(8), 0.5, length)
 
     def test_generator_energy_matches_table(self):
         from shiftortho import flatten, synthesize_grid

@@ -83,6 +83,13 @@ class TestThetaNormalize:
         with pytest.raises(ValueError):
             ProjectionConfig(zero_norm_eps=math.inf)
 
+    # Unchecked, "uniform-real" is accepted and a zero tensor projects to the
+    # first-canonical fallback.
+    @pytest.mark.parametrize("fallback", ["uniform-real", "first-canonical", None, 0])
+    def test_non_enum_fallback_rejected(self, fallback):
+        with pytest.raises(ValueError, match="fallback_vector"):
+            ProjectionConfig(fallback_vector=fallback)
+
 
 class TestKernelContract:
     def test_project_columns_works_in_place(self):
